@@ -10,7 +10,8 @@ Four function families:
 * Constraint derivation (`derive_constraints`) inverts confirmed UCAs
   into safety-constraint drafts by template.
 * Pathway tracing (`trace_pathway`) lays a scenario's causal factors
-  onto the control loop and appends the hazard/loss terminals.
+  onto the control loop and appends the hazard/loss terminals that
+  `resolve_scenario`, the link walk table building shares, finds.
 
 The module also keeps the degradation ledger: a value-typed register of
 open vulnerabilities anchored to one model fingerprint, with severity
@@ -25,12 +26,13 @@ import json
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from .model import (
     CausalFactorType,
     ComponentKind,
     ControlStructureModel,
+    Hazard,
     InvalidModel,
     LossScenario,
     SafetyConstraint,
@@ -55,6 +57,7 @@ __all__ = [
     "Pathway",
     "PathwayStage",
     "RecordSeverity",
+    "ResolvedScenario",
     "StageKind",
     "UnconfirmedUca",
     "UnknownComponent",
@@ -70,6 +73,7 @@ __all__ = [
     "ledger_resolve",
     "ledger_save",
     "match_catalog",
+    "resolve_scenario",
     "trace_pathway",
     "uca_id",
 ]
@@ -126,23 +130,24 @@ def enumerate_ucas(model: ControlStructureModel) -> list[UnsafeControlAction]:
     errors = [d for d in validate_model(model) if d.is_error]
     if errors:
         raise InvalidModel(errors)
+    return [
+        _build_uca(model, ca_id, uca_type)
+        for ca_id in sorted(model.control_actions)
+        for uca_type in UcaType
+    ]
 
-    ucas: list[UnsafeControlAction] = []
-    for ca_id in sorted(model.control_actions):
-        action = model.control_actions[ca_id]
-        for uca_type in UcaType:
-            annotation = model.annotations.get((ca_id, uca_type))
-            ucas.append(
-                UnsafeControlAction(
-                    id=uca_id(ca_id, uca_type),
-                    control_action=ca_id,
-                    label=action.label,
-                    uca_type=uca_type,
-                    context=annotation.context if annotation else "",
-                    hazards=annotation.hazards if annotation else frozenset(),
-                )
-            )
-    return ucas
+
+def _build_uca(model: ControlStructureModel, ca_id: str, uca_type: UcaType) -> UnsafeControlAction:
+    """The candidate for one pair, with its ``annotate`` entry merged in."""
+    annotation = model.annotations.get((ca_id, uca_type))
+    return UnsafeControlAction(
+        id=uca_id(ca_id, uca_type),
+        control_action=ca_id,
+        label=model.control_actions[ca_id].label,
+        uca_type=uca_type,
+        context=annotation.context if annotation else "",
+        hazards=annotation.hazards if annotation else frozenset(),
+    )
 
 
 _CONSTRAINT_TEMPLATES = {
@@ -243,6 +248,48 @@ def match_catalog(scenario: LossScenario, catalog) -> list:
 
 
 # --------------------------------------------------------------------------
+# Scenario resolution
+
+@dataclass(frozen=True)
+class ResolvedScenario:
+    """A scenario's UCA, its hazards in id order, and their sorted loss ids."""
+
+    uca: UnsafeControlAction | None
+    hazards: tuple[Hazard, ...]
+    loss_ids: tuple[str, ...]
+
+
+def resolve_scenario(scenario: LossScenario, model: ControlStructureModel) -> ResolvedScenario:
+    """Follow origin -> UCA -> hazards -> loss ids by key, for tables and pathways.
+
+    Raises :class:`DanglingReference` for an unknown origin, UCA or hazard.
+    """
+    if scenario.origin_component not in model.components:
+        raise DanglingReference(
+            f"scenario {scenario.id} origin {scenario.origin_component!r}"
+            " is not a model component"
+        )
+    if not scenario.uca:
+        return ResolvedScenario(uca=None, hazards=(), loss_ids=())
+    uca = _resolve_uca(scenario.uca, model)
+    hazards = []
+    for hazard_id in sorted(uca.hazards):
+        if hazard_id not in model.hazards:
+            raise DanglingReference(f"scenario {scenario.id} reaches unknown hazard {hazard_id!r}")
+        hazards.append(model.hazards[hazard_id])
+    loss_ids = tuple(sorted(set().union(*(hazard.leads_to for hazard in hazards))))
+    return ResolvedScenario(uca, tuple(hazards), loss_ids)
+
+
+def _resolve_uca(uca_ref: str, model: ControlStructureModel) -> UnsafeControlAction:
+    # no UCA type token contains "-", so the last "-" ends the action id
+    ca_id, dash, token = uca_ref.rpartition("-")
+    if dash and token in UcaType.tokens() and ca_id in model.control_actions:
+        return _build_uca(model, ca_id, UcaType(token))
+    raise DanglingReference(f"UCA {uca_ref!r} does not resolve in the model")
+
+
+# --------------------------------------------------------------------------
 # Pathway tracing
 
 
@@ -330,15 +377,10 @@ def trace_pathway(scenario: LossScenario, model: ControlStructureModel) -> Pathw
     the rest of the loop observes.  Hazard and loss terminals carry the
     ids linked through the scenario's UCA, when one is attached.
 
-    Raises :class:`DanglingReference` if the scenario's origin, UCA, or
-    the UCA's hazards are not resolvable in the model.
+    Links come from :func:`resolve_scenario`, which raises
+    :class:`DanglingReference` for an unresolvable origin, UCA or hazard.
     """
-    if scenario.origin_component not in model.components:
-        raise DanglingReference(
-            f"scenario {scenario.id} origin {scenario.origin_component!r}"
-            " is not a model component"
-        )
-
+    resolved = resolve_scenario(scenario, model)
     annotations: dict[StageKind, list[str]] = {}
     for factor in in_declaration_order(scenario.causal_factors):
         annotations.setdefault(_STAGE_FOR_FACTOR[factor], []).append(factor.token)
@@ -347,45 +389,16 @@ def trace_pathway(scenario: LossScenario, model: ControlStructureModel) -> Pathw
             AiCharacteristic.DECEPTION.token
         )
 
-    hazard_ids: list[str] = []
-    loss_ids: list[str] = []
-    if scenario.uca is not None:
-        uca = _resolve_uca(scenario.uca, model)
-        hazard_ids = sorted(uca.hazards)
-        for hazard_id in hazard_ids:
-            hazard = model.hazards.get(hazard_id)
-            if hazard is None:
-                raise DanglingReference(
-                    f"UCA {scenario.uca} links unknown hazard {hazard_id!r}"
-                )
-            loss_ids.extend(hazard.leads_to)
-        loss_ids = sorted(set(loss_ids))
-
     if any(kind in annotations for kind in _CONTROLLER_SIDE):
         annotations.setdefault(StageKind.CONTROL_ACTION_SIGNAL, [])
     stages = [
         PathwayStage(kind=kind, annotation=", ".join(annotations[kind]))
         for kind in in_declaration_order(annotations)
     ]
-    stages.append(PathwayStage(kind=StageKind.HAZARD, annotation=", ".join(hazard_ids)))
-    stages.append(PathwayStage(kind=StageKind.LOSS, annotation=", ".join(loss_ids)))
+    hazard_ids = ", ".join(hazard.id for hazard in resolved.hazards)
+    stages.append(PathwayStage(kind=StageKind.HAZARD, annotation=hazard_ids))
+    stages.append(PathwayStage(kind=StageKind.LOSS, annotation=", ".join(resolved.loss_ids)))
     return Pathway(scenario=scenario.id, stages=tuple(stages))
-
-
-def _resolve_uca(uca_ref: str, model: ControlStructureModel) -> UnsafeControlAction:
-    for ca_id in model.control_actions:
-        for uca_type in UcaType:
-            if uca_id(ca_id, uca_type) == uca_ref:
-                annotation = model.annotations.get((ca_id, uca_type))
-                return UnsafeControlAction(
-                    id=uca_ref,
-                    control_action=ca_id,
-                    label=model.control_actions[ca_id].label,
-                    uca_type=uca_type,
-                    context=annotation.context if annotation else "",
-                    hazards=annotation.hazards if annotation else frozenset(),
-                )
-    raise DanglingReference(f"UCA {uca_ref!r} does not resolve in the model")
 
 
 # --------------------------------------------------------------------------
@@ -481,13 +494,17 @@ def ledger_register(ledger: Ledger, record: VulnerabilityRecord) -> Ledger:
     :class:`UnknownComponent` when the record's component is not part of
     the anchored model.
     """
-    if any(existing.id == record.id for existing in ledger.records):
+    _check_admissible(record, {existing.id for existing in ledger.records}, ledger)
+    return replace(ledger, records=ledger.records + (record,))
+
+
+def _check_admissible(record: VulnerabilityRecord, taken_ids: Container[str], ledger: Ledger) -> None:
+    if record.id in taken_ids:
         raise DuplicateId(f"ledger already holds record {record.id!r}")
     if record.component not in ledger.components:
         raise UnknownComponent(
             f"record {record.id} names unknown component {record.component!r}"
         )
-    return replace(ledger, records=ledger.records + (record,))
 
 
 def ledger_resolve(ledger: Ledger, record_id: str, closed_at: datetime) -> Ledger:
@@ -565,14 +582,17 @@ def ledger_save(ledger: Ledger, path: str | Path) -> None:
 def ledger_load(path: str | Path, model: ControlStructureModel) -> Ledger:
     """Rebuild a ledger from disk, re-anchoring to ``model``.
 
-    Every stored record is re-registered, so a record naming a component
-    the current model no longer has fails with
-    :class:`UnknownComponent`.
+    Every stored record passes :func:`ledger_register`'s checks in one
+    pass, so a record naming a component the current model no longer
+    has fails with :class:`UnknownComponent`, a repeated id with
+    :class:`DuplicateId`.
     """
     ledger = Ledger.for_model(model)
-    text = Path(path).read_text(encoding="utf-8")
-    for line in text.splitlines():
+    records: dict[str, VulnerabilityRecord] = {}
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         if not line.strip():
             continue
-        ledger = ledger_register(ledger, _record_from_json(json.loads(line)))
-    return ledger
+        record = _record_from_json(json.loads(line))
+        _check_admissible(record, records, ledger)
+        records[record.id] = record
+    return replace(ledger, records=tuple(records.values()))

@@ -810,7 +810,7 @@ def parse_scenarios(
 
     Scenario origins resolve immediately (the origin's component kind is
     baked into each LossScenario); UCA references are plain ids checked
-    later by table building.
+    later by ``analysis.resolve_scenario``, behind tables and pathways.
     """
     tokens, diags = _lex(source_text, file)
     parser = _ScenarioParser(tokens, diags, model)

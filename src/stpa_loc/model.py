@@ -25,6 +25,7 @@ Validation rule codes (emitted by validate_model):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -68,7 +69,7 @@ class Vocabulary(Enum):
     @property
     def rank(self) -> int:
         """Position within the declaration order of this vocabulary."""
-        return list(type(self)).index(self)
+        return _rank_table(type(self))[self]
 
     @classmethod
     def tokens(cls) -> tuple[str, ...]:
@@ -238,9 +239,12 @@ def in_declaration_order(values: Iterable[Vocabulary]) -> list:
     pool = list(values)
     if not pool:
         return []
-    cls = type(pool[0])
-    rank = {member: i for i, member in enumerate(cls)}
-    return sorted(pool, key=rank.__getitem__)
+    return sorted(pool, key=_rank_table(type(pool[0])).__getitem__)
+
+
+@functools.cache
+def _rank_table(cls: type[Vocabulary]) -> dict[Vocabulary, int]:
+    return {member: i for i, member in enumerate(cls)}
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import io
 import json
 from dataclasses import dataclass
 
-from .analysis import DanglingReference, Pathway, StageKind, _resolve_uca
+from .analysis import DanglingReference, Pathway, StageKind, resolve_scenario
 from .model import (
     ControlStructureModel,
     LossScenario,
@@ -141,33 +141,18 @@ def build_table(
     Row order is part of the contract: effect-to-cause sorts by linked
     hazard ids then scenario id (rows without a hazard link trail);
     cause-to-effect sorts by the rendered characteristics cell then
-    scenario id. Raises :class:`~stpa_loc.analysis.DanglingReference`
-    when a scenario's origin, UCA, hazard, or loss link does not
-    resolve.
+    scenario id. Links are followed by
+    :func:`~stpa_loc.analysis.resolve_scenario`. Raises
+    :class:`~stpa_loc.analysis.DanglingReference` when a scenario's
+    origin, UCA, hazard, or loss link does not resolve.
     """
     keyed: list[tuple[tuple, CharacterizationRow]] = []
     for scenario in scenarios:
-        if scenario.origin_component not in model.components:
-            raise DanglingReference(
-                f"scenario {scenario.id} origin {scenario.origin_component!r}"
-                " is not a model component"
-            )
-        uca = _resolve_uca(scenario.uca, model) if scenario.uca else None
-        hazard_ids: list[str] = sorted(uca.hazards) if uca else []
-        hazard_texts = []
-        loss_ids: set[str] = set()
-        for hazard_id in hazard_ids:
-            hazard = model.hazards.get(hazard_id)
-            if hazard is None:
-                raise DanglingReference(
-                    f"scenario {scenario.id} reaches unknown hazard {hazard_id!r}"
-                )
-            hazard_texts.append(hazard.description)
-            loss_ids |= hazard.leads_to
+        resolved = resolve_scenario(scenario, model)
         loss_cell = None
         if include_loss:
             loss_texts = []
-            for loss_id in sorted(loss_ids):
+            for loss_id in resolved.loss_ids:
                 loss = model.losses.get(loss_id)
                 if loss is None:
                     raise DanglingReference(
@@ -175,11 +160,10 @@ def build_table(
                     )
                 loss_texts.append(loss.description)
             loss_cell = "; ".join(loss_texts) or "N/A"
-
         row = CharacterizationRow(
             lifecycle=model.lifecycle.surface,
-            hazard="; ".join(hazard_texts) or "N/A",
-            control_action=uca.label if uca else "N/A",
+            hazard="; ".join(hazard.description for hazard in resolved.hazards) or "N/A",
+            control_action=resolved.uca.label if resolved.uca else "N/A",
             scenario_type=scenario.scenario_type.surface,
             sub_type=_surfaces(scenario.sub_types, " / "),
             causal_factors=_surfaces(scenario.causal_factors, "; "),
@@ -188,7 +172,8 @@ def build_table(
             loss=loss_cell,
         )
         if direction is TableDirection.EFFECT_TO_CAUSE:
-            key = (0 if hazard_ids else 1, ",".join(hazard_ids), scenario.id)
+            hazard_ids = ",".join(hazard.id for hazard in resolved.hazards)
+            key = (0 if resolved.hazards else 1, hazard_ids, scenario.id)
         else:
             key = (row.ai_characteristics, scenario.id)
         keyed.append((key, row))

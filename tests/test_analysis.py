@@ -20,6 +20,7 @@ from stpa_loc.analysis import (
     UnknownComponentKind,
     UnknownRecord,
     VulnerabilityRecord,
+    _resolve_uca,
     classify_scenario,
     derive_constraints,
     enumerate_ucas,
@@ -29,6 +30,7 @@ from stpa_loc.analysis import (
     ledger_resolve,
     ledger_save,
     match_catalog,
+    resolve_scenario,
     trace_pathway,
     uca_id,
 )
@@ -36,14 +38,19 @@ from stpa_loc.dsl import parse_model
 from stpa_loc.model import (
     AiCharacteristic,
     CausalFactorType,
+    Component,
     ComponentKind,
+    ControlAction,
     ControlStructureModel,
+    Hazard,
     InvalidModel,
     LifecyclePhase,
+    Loss,
     LossScenario,
     SUBTYPES_FOR_TYPE,
     ScenarioSubType,
     ScenarioType,
+    UcaAnnotation,
     UcaType,
     model_fingerprint,
 )
@@ -421,6 +428,174 @@ def test_trace_always_walks_loop_order(host, factors, chars, subs):
     assert has_signal == has_controller_defect
 
 
+# --- scenario resolution ----------------------------------------------------------
+
+
+def test_uca_type_tokens_hold_no_dash():
+    # _resolve_uca splits a UCA id at its last "-"; a dash inside a type
+    # token would make that split ambiguous
+    assert all("-" not in token for token in UcaType.tokens())
+
+
+def cites(uca_ref, origin="C"):
+    return scenario(
+        factors={CausalFactorType.DELAY},
+        origin=origin,
+        kind=ComponentKind.CONTROLLER,
+        scenario_type=ScenarioType.TYPE_A_UNSAFE_CONTROL_ACTION,
+        sub_types=frozenset({ScenarioSubType.CA_NOT_PROVIDED}),
+        uca=uca_ref,
+    )
+
+
+def assert_resolves_every_uca(model):
+    ucas = enumerate_ucas(model)
+    assert len(ucas) == 4 * len(model.control_actions)
+    origin = next(iter(model.components))
+    for uca in ucas:
+        assert _resolve_uca(uca.id, model) == uca
+        assert resolve_scenario(cites(uca.id, origin), model).uca == uca
+
+
+def test_resolver_agrees_with_enumeration_for_fixture(fixture_model):
+    assert_resolves_every_uca(fixture_model)
+
+
+# Control action ids that contain "-", some with pieces that are also UCA
+# type tokens, e.g. CA-1-x or CA-not_provided-wrong_duration.
+_DASHED_ACTION_IDS = st.lists(
+    st.sampled_from(["1", "x", "CA", "2b", "not_provided", "wrong_duration"]),
+    min_size=1,
+    max_size=4,
+).map(lambda parts: "-".join(["CA", *parts]))
+
+
+@st.composite
+def dashed_models(draw) -> ControlStructureModel:
+    action_ids = draw(st.lists(_DASHED_ACTION_IDS, min_size=1, max_size=6, unique=True))
+    annotated = draw(
+        st.lists(
+            st.tuples(st.sampled_from(action_ids), st.sampled_from(list(UcaType))),
+            unique=True,
+        )
+    )
+    return ControlStructureModel.from_items(
+        name="dashed",
+        lifecycle=LifecyclePhase.OPERATIONS,
+        components=[
+            Component(id="C", name="C", kind=ComponentKind.CONTROLLER),
+            Component(id="P", name="P", kind=ComponentKind.CONTROLLED_PROCESS),
+        ],
+        losses=[Loss(id="L-1", description="a loss")],
+        hazards=[Hazard(id="H-1", description="a hazard", leads_to={"L-1"})],
+        control_actions=[
+            ControlAction(id=ca_id, label=f"act {ca_id}", source="C", target="P")
+            for ca_id in action_ids
+        ],
+        annotations=[
+            UcaAnnotation(
+                control_action=ca_id,
+                uca_type=uca_type,
+                context=f"context {ca_id} {uca_type.token}",
+                hazards={"H-1"},
+            )
+            for ca_id, uca_type in annotated
+        ],
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=dashed_models())
+def test_resolver_agrees_with_enumeration_for_dashed_action_ids(model):
+    assert_resolves_every_uca(model)
+
+
+@pytest.mark.parametrize(
+    "uca_ref",
+    [
+        "CA1not_provided",  # no "-"
+        "not_provided",  # a bare type token
+        "CA-1-bogus",  # unknown type token
+        "CA-1-",  # empty type token
+        "CA-9-not_provided",  # unknown control action
+        "-not_provided",  # empty control action part
+        "CA-1-not_provided-",
+    ],
+)
+def test_unresolvable_uca_refs(host, uca_ref):
+    with pytest.raises(DanglingReference) as raised:
+        _resolve_uca(uca_ref, host)
+    assert str(raised.value) == f"UCA {uca_ref!r} does not resolve in the model"
+
+
+def test_resolver_needs_the_dash_even_for_an_empty_action_id():
+    # an unvalidated model may key a control action by "": its UCA ids
+    # start with "-", and a bare type token still names nothing
+    model = ControlStructureModel.from_items(
+        name="m",
+        lifecycle=LifecyclePhase.OPERATIONS,
+        control_actions=[ControlAction(id="", label="act", source="C", target="P")],
+    )
+    assert _resolve_uca("-not_provided", model).control_action == ""
+    with pytest.raises(DanglingReference):
+        _resolve_uca("not_provided", model)
+
+
+def test_resolve_scenario_follows_links(host):
+    resolved = resolve_scenario(cites("CA-1-not_provided"), host)
+    assert resolved.uca.label == "act"
+    assert [hazard.id for hazard in resolved.hazards] == ["H-1"]
+    assert [hazard.description for hazard in resolved.hazards] == ["a hazard"]
+    assert resolved.loss_ids == ("L-1", "L-2")
+    bare = resolve_scenario(cites("CA-1-wrong_duration"), host)
+    assert bare.uca.id == "CA-1-wrong_duration"
+    assert bare.hazards == bare.loss_ids == ()
+
+
+def test_resolve_scenario_without_uca(host):
+    resolved = resolve_scenario(scenario(factors={CausalFactorType.DELAY}), host)
+    assert resolved.uca is None
+    assert resolved.hazards == resolved.loss_ids == ()
+
+
+def _unknown_hazard_model():
+    return ControlStructureModel.from_items(
+        name="m",
+        lifecycle=LifecyclePhase.OPERATIONS,
+        components=[
+            Component(id="C", name="C", kind=ComponentKind.CONTROLLER),
+            Component(id="P", name="P", kind=ComponentKind.CONTROLLED_PROCESS),
+        ],
+        control_actions=[ControlAction(id="CA-1", label="act", source="C", target="P")],
+        annotations=[
+            UcaAnnotation(
+                control_action="CA-1",
+                uca_type=UcaType.NOT_PROVIDED,
+                context="idle",
+                hazards={"H-1"},
+            )
+        ],
+    )
+
+
+def test_trace_dangling_reference_messages(host):
+    # trace_pathway reports through resolve_scenario, so its messages are
+    # the ones build_table gives
+    cases = [
+        (
+            scenario(factors={CausalFactorType.DELAY}, origin="Ghost"),
+            host,
+            "scenario S-X origin 'Ghost' is not a model component",
+        ),
+        (cites("CA-9-not_provided"), host, "UCA 'CA-9-not_provided' does not resolve in the model"),
+        (cites("CA-1-not_provided"), _unknown_hazard_model(), "scenario S-X reaches unknown hazard 'H-1'"),
+    ]
+    for drafted, model, message in cases:
+        with pytest.raises(DanglingReference) as raised:
+            trace_pathway(drafted, model)
+        assert str(raised.value) == message
+
+
 # --- degradation ledger --------------------------------------------------------------
 
 
@@ -565,3 +740,39 @@ def test_ledger_load_validates_components(host, tmp_path):
     path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
     with pytest.raises(UnknownComponent):
         ledger_load(path, host)
+
+
+def write_ledger(path, entries):
+    """Save one record per (id, component) pair, bypassing the register checks."""
+    records = tuple(record(record_id, component) for record_id, component in entries)
+    ledger_save(Ledger(model_fingerprint="", components=frozenset(), records=records), path)
+
+
+@pytest.mark.parametrize("line", [2, 3, 5])
+def test_ledger_load_rejects_duplicate_id_on_line(host, tmp_path, line):
+    entries = [(f"V-{i}", "P") for i in range(1, 6)]
+    entries[line - 1] = ("V-1", "C")
+    entries.append(("V-9", "Ghost"))  # a later bad line is never reached
+    path = tmp_path / "ledger.jsonl"
+    write_ledger(path, entries)
+    with pytest.raises(DuplicateId) as raised:
+        ledger_load(path, host)
+    assert str(raised.value) == "ledger already holds record 'V-1'"
+
+
+def test_ledger_load_reports_first_offending_line(host, tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    write_ledger(path, [("V-1", "P"), ("V-2", "Ghost"), ("V-1", "P")])
+    with pytest.raises(UnknownComponent) as raised:
+        ledger_load(path, host)
+    assert str(raised.value) == "record V-2 names unknown component 'Ghost'"
+
+
+def test_ledger_load_matches_registering_each_record(host, tmp_path):
+    entries = [("V-3", "P"), ("V-1", "C"), ("V-2", "P")]
+    path = tmp_path / "ledger.jsonl"
+    write_ledger(path, entries)
+    expected = Ledger.for_model(host)
+    for record_id, component in entries:
+        expected = ledger_register(expected, record(record_id, component))
+    assert ledger_load(path, host) == expected

@@ -235,6 +235,23 @@ def test_build_table_checks_loss_links():
     assert build_table([scenario()], broken, E2C)[0].hazard == "a hazard"
 
 
+def test_build_table_dangling_reference_messages(host):
+    # `stpa-loc report` prints these on stderr; the wording is pinned
+    unknown_loss = hand_model(
+        hazards=[Hazard(id="H-1", description="a hazard", leads_to={"L-9"})]
+    )
+    cases = [
+        (scenario(origin_component="Ghost"), host, "scenario S-1 origin 'Ghost' is not a model component"),
+        (scenario(uca="CA-9-not_provided"), host, "UCA 'CA-9-not_provided' does not resolve in the model"),
+        (scenario(), hand_model(), "scenario S-1 reaches unknown hazard 'H-1'"),
+        (scenario(), unknown_loss, "scenario S-1 reaches unknown loss 'L-9'"),
+    ]
+    for drafted, model, message in cases:
+        with pytest.raises(DanglingReference) as raised:
+            build_table([drafted], model, E2C, include_loss=True)
+        assert str(raised.value) == message
+
+
 # --- CSV rendering -----------------------------------------------------------
 
 
