@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stpa_loc.dsl import parse_model, parse_scenarios, serialize_model
+from stpa_loc.dsl import _lex, parse_model, parse_scenarios, serialize_model
 from stpa_loc.model import (
     AgentNature,
     AiCharacteristic,
@@ -20,6 +21,7 @@ from stpa_loc.model import (
     SafetyConstraint,
     ScenarioSubType,
     ScenarioType,
+    SourceSpan,
     UcaAnnotation,
     UcaType,
     format_diagnostic,
@@ -190,6 +192,115 @@ def test_parse_never_raises_on_garbage():
     model, diags = parse_model("%%% not even close {{{")
     assert has_errors(diags)
     assert isinstance(model, ControlStructureModel)
+
+
+# --- lexer output, pinned -----------------------------------------------------
+#
+# Each row: source, the lexer's diagnostics as (rule_code, message, line,
+# column, length), and the (line, column) of the end-of-input token.
+
+LEXER_CASES = [
+    pytest.param(
+        '"abc',
+        [("UnterminatedString", "string not closed before end of line", 1, 1, 4)],
+        (1, 5),
+        id="unterminated-string",
+    ),
+    pytest.param(
+        '"a\\tb"',
+        [("BadEscape", "unsupported escape sequence \\t", 1, 3, 2)],
+        (1, 7),
+        id="bad-escape",
+    ),
+    pytest.param(
+        "x\n\tloss",
+        [("TabIndent", "tab used in indentation", 2, 1, 1)],
+        (2, 6),
+        id="tab-indent",
+    ),
+    pytest.param(
+        "a" * 65,
+        [("BadIdentifier", "identifier aaaaaaaaaaaaaaaa... exceeds 64 characters", 1, 1, 65)],
+        (1, 66),
+        id="bad-identifier",
+    ),
+    pytest.param(
+        "@",
+        [("UnexpectedToken", "unexpected character '@'", 1, 1, 1)],
+        (1, 2),
+        id="unexpected-character",
+    ),
+    # input that ends inside a comment puts the end-of-input token at its '#'
+    pytest.param("a # c", [], (1, 3), id="eof-after-final-comment"),
+    pytest.param("x\n  # c\n", [], (3, 1), id="eof-after-comment-and-newline"),
+    pytest.param(
+        '"a\\\nb"',
+        [
+            ("BadEscape", "unsupported escape sequence \\\n", 1, 3, 2),
+            ("UnterminatedString", "string not closed before end of line", 1, 1, 3),
+            ("UnterminatedString", "string not closed before end of line", 2, 2, 1),
+        ],
+        (2, 3),
+        id="backslash-before-newline",
+    ),
+    pytest.param(
+        '"a\\',
+        [
+            ("BadEscape", "unsupported escape sequence \\", 1, 3, 2),
+            ("UnterminatedString", "string not closed before end of line", 1, 1, 3),
+        ],
+        (1, 4),
+        id="backslash-at-end-of-input",
+    ),
+    pytest.param(
+        "  \tx",
+        [("TabIndent", "tab used in indentation", 1, 3, 1)],
+        (1, 5),
+        id="tab-after-leading-spaces",
+    ),
+    pytest.param("x\t\ty", [], (1, 5), id="tab-after-text-is-not-indent"),
+    pytest.param(
+        'a\r\nb "c\r\n',
+        [("UnterminatedString", "string not closed before end of line", 2, 3, 3)],
+        (3, 1),
+        id="crlf-line-endings",
+    ),
+    pytest.param(
+        "\u00e9",
+        [("UnexpectedToken", "unexpected character '\u00e9'", 1, 1, 1)],
+        (1, 2),
+        id="non-ascii-letter",
+    ),
+    pytest.param(
+        "\t\tx",
+        [("TabIndent", "tab used in indentation", 1, 1, 1)],
+        (1, 4),
+        id="two-tabs-warn-once",
+    ),
+]
+
+
+@pytest.mark.parametrize("source, expected, eof", LEXER_CASES)
+def test_lexer_diagnostics_and_eof_span(source, expected, eof):
+    tokens, diags = _lex(source, "f.stpa")
+    got = [(d.rule_code, d.message, d.span.line, d.span.column, d.span.length) for d in diags]
+    assert got == expected
+    assert all(d.span.file == "f.stpa" for d in diags)
+    end = tokens[-1]
+    assert (end.kind, end.text, end.span) == ("EOF", "", SourceSpan("f.stpa", *eof, 1))
+
+
+LEXER_ALPHABET = st.one_of(st.characters(), st.sampled_from('"\\#{}:,\n\r\t -_aZ9'))
+
+
+@settings(max_examples=200, deadline=None)
+@given(source=st.text(LEXER_ALPHABET))
+def test_parsing_arbitrary_text_never_raises(source):
+    host, _ = parse_model(SCENARIO_HOST)
+    _, model_diags = parse_model(source)
+    _, scenario_diags = parse_scenarios(source, host)
+    last_line = source.count("\n") + 1
+    assert all(d.span.line <= last_line for d in model_diags + scenario_diags)
 
 
 def test_parse_diagnostic_positions():
