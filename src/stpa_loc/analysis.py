@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Container, Iterable, Mapping
+from typing import Container, Iterable
 
 from .model import (
     CausalFactorType,
@@ -557,16 +557,30 @@ def _record_to_json(record: VulnerabilityRecord) -> dict:
     }
 
 
-def _record_from_json(payload: Mapping) -> VulnerabilityRecord:
-    closed_at = payload.get("closed_at")
+def _record_from_json(payload: object) -> VulnerabilityRecord:
+    """Build a record from one decoded ledger line.
+
+    Raises ``KeyError`` for a missing field and ``ValueError`` for a line
+    that is not a JSON object or a field of the wrong type or value.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"ledger line is not a JSON object: {payload!r}")
+
+    def text(name: str) -> str:
+        value = payload[name]
+        if not isinstance(value, str):
+            raise ValueError(f"ledger field {name!r} is not a string: {value!r}")
+        return value
+
+    closed_at = text("closed_at") if payload.get("closed_at") is not None else None
     return VulnerabilityRecord(
-        id=payload["id"],
-        description=payload["description"],
-        component=payload["component"],
-        severity=RecordSeverity(payload["severity"]),
-        opened_at=datetime.fromisoformat(payload["opened_at"]),
+        id=text("id"),
+        description=text("description"),
+        component=text("component"),
+        severity=RecordSeverity(text("severity")),
+        opened_at=datetime.fromisoformat(text("opened_at")),
         closed_at=datetime.fromisoformat(closed_at) if closed_at else None,
-        source=LedgerSource(payload["source"]),
+        source=LedgerSource(text("source")),
     )
 
 

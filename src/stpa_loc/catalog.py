@@ -236,8 +236,8 @@ def _parse_row(cols: list[str], row: int) -> CatalogEntry:
 def load_catalog(path: str | Path | None = None) -> Catalog:
     """Load the bundled catalog, or a replacement file at ``path``.
 
-    Raises :class:`CatalogFormatError` for structural problems and
-    ``OSError`` if ``path`` cannot be read.
+    Raises :class:`CatalogFormatError` for structural problems or text
+    that is not UTF-8, and ``OSError`` if ``path`` cannot be read.
     """
     bundled = path is None
     if bundled:
@@ -245,7 +245,10 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
             resources.files("stpa_loc.data").joinpath("catalog.tsv").read_text("utf-8")
         )
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise CatalogFormatError(f"catalog file is not UTF-8 text ({exc.reason})") from None
 
     lines = text.split("\n")
     if lines and lines[-1] == "":

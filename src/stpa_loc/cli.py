@@ -57,7 +57,11 @@ def _print_diagnostics(diagnostics: list[Diagnostic], file: str) -> None:
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # undecodable input is an unreadable file: exit 3, not a traceback
+        raise OSError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _load_valid_model(path: str) -> tuple[ControlStructureModel | None, int]:
@@ -105,14 +109,8 @@ def _load_catalog() -> catalog_mod.Catalog:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        source = _read_text(args.model)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
-    model, diagnostics = parse_model(source, file=args.model)
-    diagnostics = diagnostics + validate_model(model)
-    _print_diagnostics(diagnostics, args.model)
-    return EXIT_INVALID if has_errors(diagnostics) else EXIT_OK
+    _, code = _load_valid_model(args.model)
+    return code
 
 
 def cmd_ucas(args: argparse.Namespace) -> int:

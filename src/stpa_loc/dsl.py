@@ -21,6 +21,8 @@ shorthand for `kind: ai`. A missing `lifecycle` item defaults to
 operations. Display names are not part of the grammar: a component's name
 is its id.
 
+The lexer is one `re.finditer` pass over a master pattern, `_LEXEME`.
+
 Loss scenarios live in a companion file with the same lexical rules:
 
     file     := "scenarios" STRING? "{" scenario* "}"
@@ -49,9 +51,12 @@ Diagnostic rule codes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .model import (
+    IDENTIFIER,
+    MAX_IDENTIFIER_LENGTH,
     AgentNature,
     AiCharacteristic,
     CausalFactorType,
@@ -75,8 +80,6 @@ from .model import (
     UcaType,
     validate_model,
 )
-
-MAX_IDENTIFIER_LENGTH = 64
 
 _COMPONENT_KEYWORDS = {
     "controller": ComponentKind.CONTROLLER,
@@ -119,12 +122,24 @@ COLON = "COLON"
 COMMA = "COMMA"
 EOF = "EOF"
 
-_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
-_IDENT_REST = _IDENT_START | frozenset("0123456789_-")
+_PUNCTUATION = {"{": LBRACE, "}": RBRACE, ":": COLON, ",": COMMA}
+
+# One named alternative per lexeme, tried in order at each position. A string
+# runs to its closing quote or stops before the end of the line; a backslash
+# and the character after it, unless that is a newline, always travel together.
+_LEXEME = re.compile(
+    r"(?P<NEWLINE>\n)"
+    r"|(?P<BLANK>[ \t\r]+)"
+    r"|(?P<COMMENT>#[^\n]*)"
+    r"|(?P<PUNCT>[{}:,])"
+    r'|(?P<STRING>"(?P<BODY>(?:[^"\\\n]+|\\.?)*)(?P<CLOSE>"?))'
+    rf"|(?P<IDENT>{IDENTIFIER})"
+    r"|(?P<OTHER>.)"
+)
+_ESCAPE = re.compile(r'\\(["\\]?)')
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     value: str
@@ -135,131 +150,51 @@ def _lex(source: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
     line = 1
-    col = 1
-    at_line_start = True
-    tab_flagged_line = 0
-    i = 0
-    n = len(source)
-
-    def span(start_col: int, length: int) -> SourceSpan:
-        return SourceSpan(file, line, start_col, max(length, 1))
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            at_line_start = True
-            continue
-        if ch in " \t\r":
-            if ch == "\t" and at_line_start and tab_flagged_line != line:
-                diags.append(
-                    Diagnostic(Severity.WARNING, "TabIndent", "tab used in indentation", span(col, 1))
-                )
-                tab_flagged_line = line
-            i += 1
-            col += 1
-            continue
-        at_line_start = False
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch == "{":
-            tokens.append(Token(LBRACE, "{", "{", span(col, 1)))
-            i += 1
-            col += 1
-            continue
-        if ch == "}":
-            tokens.append(Token(RBRACE, "}", "}", span(col, 1)))
-            i += 1
-            col += 1
-            continue
-        if ch == ":":
-            tokens.append(Token(COLON, ":", ":", span(col, 1)))
-            i += 1
-            col += 1
-            continue
-        if ch == ",":
-            tokens.append(Token(COMMA, ",", ",", span(col, 1)))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            start_col = col
-            i += 1
-            col += 1
-            parts: list[str] = []
-            closed = False
-            while i < n:
-                c = source[i]
-                if c == "\n":
-                    break
-                if c == '"':
-                    i += 1
-                    col += 1
-                    closed = True
-                    break
-                if c == "\\":
-                    if i + 1 < n and source[i + 1] in ('"', "\\"):
-                        parts.append(source[i + 1])
-                        i += 2
-                        col += 2
-                        continue
-                    bad = source[i + 1] if i + 1 < n else ""
-                    diags.append(
-                        Diagnostic(
-                            Severity.ERROR,
-                            "BadEscape",
-                            f"unsupported escape sequence \\{bad}",
-                            span(col, 2),
-                        )
-                    )
-                    parts.append(c)
-                    i += 1
-                    col += 1
-                    continue
-                parts.append(c)
-                i += 1
-                col += 1
-            text = "".join(parts)
-            if not closed:
-                diags.append(
-                    Diagnostic(
-                        Severity.ERROR,
-                        "UnterminatedString",
-                        "string not closed before end of line",
-                        span(start_col, max(col - start_col, 1)),
-                    )
-                )
-            tokens.append(Token(STRING, text, text, span(start_col, max(col - start_col, 1))))
-            continue
-        if ch in _IDENT_START:
-            start_col = col
-            start = i
-            while i < n and source[i] in _IDENT_REST:
-                i += 1
-                col += 1
-            word = source[start:i]
+    line_start = 0
+    m = None
+    for m in _LEXEME.finditer(source):
+        kind = m.lastgroup
+        start = m.start()
+        col = start - line_start + 1
+        if kind == "BLANK":
+            blank = m.group()
+            if start == line_start and "\t" in blank:
+                span = SourceSpan(file, line, col + blank.index("\t"), 1)
+                diags.append(Diagnostic(Severity.WARNING, "TabIndent", "tab used in indentation", span))
+        elif kind == "IDENT":
+            word = m.group()
+            span = SourceSpan(file, line, col, len(word))
             if len(word) > MAX_IDENTIFIER_LENGTH:
-                diags.append(
-                    Diagnostic(
-                        Severity.ERROR,
-                        "BadIdentifier",
-                        f"identifier {word[:16]}... exceeds {MAX_IDENTIFIER_LENGTH} characters",
-                        span(start_col, len(word)),
-                    )
-                )
-            tokens.append(Token(IDENT, word, word, span(start_col, len(word))))
-            continue
-        diags.append(
-            Diagnostic(Severity.ERROR, "UnexpectedToken", f"unexpected character {ch!r}", span(col, 1))
-        )
-        i += 1
-        col += 1
-
-    tokens.append(Token(EOF, "", "", SourceSpan(file, line, max(col, 1), 1)))
+                message = f"identifier {word[:16]}... exceeds {MAX_IDENTIFIER_LENGTH} characters"
+                diags.append(Diagnostic(Severity.ERROR, "BadIdentifier", message, span))
+            tokens.append(Token(IDENT, word, word, span))
+        elif kind == "PUNCT":
+            char = m.group()
+            tokens.append(Token(_PUNCTUATION[char], char, char, SourceSpan(file, line, col, 1)))
+        elif kind == "STRING":
+            text = m.group("BODY")
+            if "\\" in text:
+                for escape in _ESCAPE.finditer(text):
+                    if not escape.group(1):
+                        at = start + 1 + escape.start()
+                        message = f"unsupported escape sequence \\{source[at + 1:at + 2]}"
+                        span = SourceSpan(file, line, at - line_start + 1, 2)
+                        diags.append(Diagnostic(Severity.ERROR, "BadEscape", message, span))
+                text = _ESCAPE.sub(lambda escape: escape.group(1) or "\\", text)
+            span = SourceSpan(file, line, col, m.end() - start)
+            if not m.group("CLOSE"):
+                message = "string not closed before end of line"
+                diags.append(Diagnostic(Severity.ERROR, "UnterminatedString", message, span))
+            tokens.append(Token(STRING, text, text, span))
+        elif kind == "NEWLINE":
+            line += 1
+            line_start = m.end()
+        elif kind == "OTHER":
+            message = f"unexpected character {m.group()!r}"
+            diags.append(Diagnostic(Severity.ERROR, "UnexpectedToken", message, SourceSpan(file, line, col, 1)))
+    # input that ends inside a comment puts the end-of-input token at its '#'
+    end = m.start() if m is not None and m.lastgroup == "COMMENT" else len(source)
+    tokens.append(Token(EOF, "", "", SourceSpan(file, line, end - line_start + 1, 1)))
     return tokens, diags
 
 
@@ -673,8 +608,7 @@ def serialize_model(model: ControlStructureModel) -> str:
         if channel.via is not None:
             line += f" via {channel.via}"
         lines.append(line)
-    uca_rank = {t: i for i, t in enumerate(UcaType)}
-    for key in sorted(model.annotations, key=lambda k: (k[0], uca_rank[k[1]])):
+    for key in sorted(model.annotations, key=lambda k: (k[0], k[1].rank)):
         annotation = model.annotations[key]
         line = (
             f"  annotate {annotation.control_action} {annotation.uca_type.token}"

@@ -33,7 +33,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
-IDENTIFIER_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]{0,63}\Z")
+# The identifier grammar, shared by validate_model and the lexer in dsl.py.
+IDENTIFIER = r"[A-Za-z][A-Za-z0-9_-]*"
+MAX_IDENTIFIER_LENGTH = 64
+IDENTIFIER_RE = re.compile(IDENTIFIER)
 
 
 class InvalidModel(Exception):
@@ -543,7 +546,7 @@ def validate_model(model: ControlStructureModel) -> list[Diagnostic]:
         ("feedback channel", model.feedback_channels),
     ):
         for key, item in sorted(collection.items()):
-            if not IDENTIFIER_RE.match(item.id):
+            if len(item.id) > MAX_IDENTIFIER_LENGTH or not IDENTIFIER_RE.fullmatch(item.id):
                 diags.append(_err("BadIdentifier", f"{category} id {item.id!r} is not a legal identifier"))
             if key != item.id:
                 diags.append(_err("KeyMismatch", f"{category} keyed as {key} but declares id {item.id}"))

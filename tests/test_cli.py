@@ -210,6 +210,24 @@ def test_validate_missing_file_is_io_error(tmp_path):
     assert err.startswith("stpa-loc: error:")
 
 
+
+@pytest.mark.parametrize("target", ["model", "scenarios", "catalog"])
+def test_non_utf8_input_is_io_error(tmp_path, monkeypatch, target):
+    undecodable = tmp_path / "undecodable"
+    undecodable.write_bytes(b'system "x" {\xff}\n')
+    model = write(tmp_path, "m.stpa", TINY_MODEL)
+    argv = {
+        "model": ["validate", str(undecodable)],
+        "scenarios": ["report", model, str(undecodable)],
+        "catalog": ["prompts", model],
+    }[target]
+    monkeypatch.setenv("STPA_LOC_CATALOG", str(undecodable))  # read by prompts only
+    code, out, err = run_cli(argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("stpa-loc: error:")
+    assert "not UTF-8 text" in err
+    assert "Traceback" not in err
+
 # --- ucas ---------------------------------------------------------------------
 
 
@@ -620,6 +638,19 @@ def test_ledger_bad_file_is_io_error(ledger_env, tmp_path):
     assert code == 3
     assert err.startswith("stpa-loc: error: bad ledger file:")
 
+
+
+def test_ledger_malformed_lines_are_io_errors(ledger_env, tmp_path):
+    ledger, model = ledger_env
+    wrong_type = {
+        "id": "V-1", "description": "d", "component": "P", "severity": "low",
+        "opened_at": 5, "closed_at": None, "source": "audit",
+    }
+    for line in ["1", "[]", json.dumps(wrong_type)]:
+        write(tmp_path, "ledger.jsonl", line + "\n")
+        code, out, err = run_cli(["ledger", "exposure", ledger, "--model", model])
+        assert (code, out) == (3, ""), line
+        assert err.startswith("stpa-loc: error: bad ledger file:"), line
 
 def test_ledger_foreign_component_in_file_fails(ledger_env, tmp_path):
     ledger, model = ledger_env

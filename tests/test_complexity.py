@@ -15,6 +15,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from stpa_loc.analysis import ledger_load, trace_pathway, uca_id
+from stpa_loc.dsl import parse_model, parse_scenarios, serialize_model
 from stpa_loc.model import (
     CausalFactorType,
     Component,
@@ -86,6 +87,21 @@ def synthetic(n: int) -> tuple[ControlStructureModel, list[LossScenario]]:
     return model, scenarios
 
 
+
+def scenario_source(scenarios: list[LossScenario]) -> str:
+    """The scenario-file text for ``scenarios``, one scenario per line."""
+    lines = ["scenarios {"]
+    for scenario in scenarios:
+        lines.append(
+            f"  scenario {scenario.id} {{ origin: {scenario.origin_component} uca: {scenario.uca}"
+            f" type: {scenario.scenario_type.token}"
+            f" sub_types: {', '.join(t.token for t in scenario.sub_types)}"
+            f" factors: {', '.join(f.token for f in scenario.causal_factors)}"
+            f' description: "{scenario.description}" }}'
+        )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
 def best_time(run) -> float:
     best = float("inf")
     for _ in range(REPEATS):
@@ -117,6 +133,24 @@ def test_trace_pathway_over_all_scenarios_grows_linearly():
 
     assert growth(make_run) < BOUND
 
+
+
+def test_parse_model_grows_linearly():
+    def make_run(n):
+        source = serialize_model(synthetic(n)[0])
+        return lambda: parse_model(source)
+
+    assert growth(make_run) < BOUND
+
+
+def test_parse_scenarios_grows_linearly():
+    def make_run(n):
+        model, scenarios = synthetic(n)
+        source = scenario_source(scenarios)
+        assert parse_scenarios(source, model) == (scenarios, [])
+        return lambda: parse_scenarios(source, model)
+
+    assert growth(make_run) < BOUND
 
 def test_ledger_load_grows_linearly(tmp_path):
     model, _ = synthetic(4)
