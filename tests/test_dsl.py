@@ -309,6 +309,145 @@ def test_parse_diagnostic_positions():
     assert format_diagnostic(bad).startswith("m.stpa:2:14: error[UnknownEnumToken]")
 
 
+# Each row: which parser, the source, and every diagnostic it yields as
+# (rule code, message, line, column, length), in order.
+
+SCENARIO_BODY = 'origin: P type: type_b sub_types: not_executed factors: delay description: "d"'
+
+PARSER_CASES = [
+    pytest.param(
+        "model",
+        'system "x" {\n  loss L-1 }',
+        [("UnexpectedToken", "expected the loss description, found '}'", 2, 12, 1)],
+        id="unexpected-token",
+    ),
+    pytest.param(
+        "model",
+        "system x {}",
+        [
+            ("UnexpectedToken", "expected the system name string, found 'x'", 1, 8, 1),
+            ("UnexpectedToken", "expected '{', found 'x'", 1, 8, 1),
+            ("UnknownKeyword", "unknown declaration keyword 'x'", 1, 8, 1),
+        ],
+        id="missing-system-name",
+    ),
+    pytest.param(
+        "model",
+        'system "x" {\n  gadget G\n}',
+        [("UnknownKeyword", "unknown declaration keyword 'gadget'", 2, 3, 6)],
+        id="unknown-keyword",
+    ),
+    pytest.param(
+        "model",
+        'system "x" {\n  controller C {colour: red}\n}',
+        [("UnknownAttribute", "unknown attribute 'colour'", 2, 17, 6)],
+        id="unknown-attribute",
+    ),
+    pytest.param(
+        "model",
+        'system "x" {\n  controller C {kind: robot}\n}',
+        [
+            (
+                "UnknownEnumToken",
+                "unknown agent nature 'robot' (expected human, automated or ai)",
+                2, 23, 5,
+            )
+        ],
+        id="unknown-agent-nature",
+    ),
+    pytest.param(
+        "model",
+        'system "x" {\n  controller C {contains_ai: maybe}\n}',
+        [("UnknownEnumToken", "expected true or false, found 'maybe'", 2, 30, 5)],
+        id="unknown-boolean",
+    ),
+    pytest.param(
+        "model",
+        'system "x" {\n  annotate CA-1 sometimes context "a"\n}',
+        [
+            (
+                "UnknownEnumToken",
+                "unknown UCA type 'sometimes' (expected one of: not_provided,"
+                " provided_causes_hazard, wrong_time_or_order, wrong_duration)",
+                2, 17, 9,
+            )
+        ],
+        id="unknown-uca-type",
+    ),
+    pytest.param(
+        "model",
+        'system "x" {\n  loss L-1 "a"\n  hazard L-1 "b" leads_to L-1\n}',
+        [("DuplicateId", "id L-1 already declared as a loss", 3, 10, 3)],
+        id="duplicate-model-id",
+    ),
+    pytest.param(
+        "model",
+        'system "x" {\n  annotate CA-1 not_provided context "a"\n'
+        '  annotate CA-1 not_provided context "b"\n}',
+        [("DuplicateAnnotation", "control action CA-1 already annotated for not_provided", 3, 12, 4)],
+        id="duplicate-annotation",
+    ),
+    pytest.param(
+        "scenarios",
+        f"scenarios {{\n  scenario S-1 {{ {SCENARIO_BODY} }}\n  scenario S-1 {{ {SCENARIO_BODY} }}\n}}",
+        [("DuplicateId", "scenario id S-1 already declared", 3, 12, 3)],
+        id="duplicate-scenario-id",
+    ),
+    pytest.param(
+        "scenarios",
+        "scenarios {\n  nonsense\n}",
+        [("UnknownKeyword", "expected 'scenario', found 'nonsense'", 2, 3, 8)],
+        id="unknown-scenario-keyword",
+    ),
+    pytest.param(
+        "scenarios",
+        "scenarios {\n  scenario S-1 { origin: P type: type_b sub_types: not_executed factors: delay }\n}",
+        [("MissingField", "scenario S-1 is missing required field(s): description", 2, 12, 3)],
+        id="missing-field",
+    ),
+    pytest.param(
+        "scenarios",
+        "scenarios {\n  scenario S-1 { origin: P type: type_b",
+        [
+            ("UnexpectedToken", "expected '}', found 'end of input'", 2, 40, 1),
+            (
+                "MissingField",
+                "scenario S-1 is missing required field(s): sub_types, factors, description",
+                2, 12, 3,
+            ),
+            ("UnexpectedToken", "expected '}', found 'end of input'", 2, 40, 1),
+        ],
+        id="scenario-cut-off-at-end-of-input",
+    ),
+    pytest.param(
+        "scenarios",
+        "scenarios {\n  scenario S-1 { origin: C type: type_a sub_types: not_provided"
+        ' factors: delay description: "d" }\n}',
+        [("IllegalScenario", "scenario S-1: type_a scenarios must reference a UCA", 2, 12, 3)],
+        id="illegal-scenario",
+    ),
+    pytest.param(
+        "scenarios",
+        "scenarios {\n  scenario S-1 {"
+        f" {SCENARIO_BODY.replace('origin: P', 'origin: Nobody')} }}\n}}",
+        [("DanglingComponentRef", "scenario S-1 origin Nobody is not a model component", 2, 12, 3)],
+        id="dangling-component-ref",
+    ),
+]
+
+
+@pytest.mark.parametrize("parser, source, expected", PARSER_CASES)
+def test_parser_diagnostics(parser, source, expected):
+    if parser == "model":
+        _, diags = parse_model(source, "f.stpa")
+    else:
+        host, _ = parse_model(SCENARIO_HOST)
+        _, diags = parse_scenarios(source, host, "f.stpa")
+    got = [(d.rule_code, d.message, d.span.line, d.span.column, d.span.length) for d in diags]
+    assert got == expected
+    assert all(d.span.file == "f.stpa" for d in diags)
+
+
 # --- canonical serialization ------------------------------------------------
 
 
