@@ -209,36 +209,34 @@ def cmd_ledger(args: argparse.Namespace) -> int:
     except analysis.AnalysisError as exc:
         return _fail(str(exc), EXIT_INVALID)
 
-    if args.ledger_cmd == "add":
-        record = analysis.VulnerabilityRecord(
-            id=args.id,
-            description=args.description,
-            component=args.component,
-            severity=analysis.RecordSeverity(args.severity),
-            opened_at=args.opened_at or datetime.now(timezone.utc),
-            source=analysis.LedgerSource(args.source),
+    if args.ledger_cmd == "exposure":
+        summary = analysis.ledger_exposure(
+            ledger, args.as_of or datetime.now(timezone.utc)
         )
-        try:
-            ledger = analysis.ledger_register(ledger, record)
-        except analysis.AnalysisError as exc:
-            return _fail(str(exc), EXIT_INVALID)
-        analysis.ledger_save(ledger, args.ledger)
+        sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         return EXIT_OK
 
-    if args.ledger_cmd == "resolve":
-        try:
+    try:
+        if args.ledger_cmd == "add":
+            record = analysis.VulnerabilityRecord(
+                id=args.id,
+                description=args.description,
+                component=args.component,
+                severity=analysis.RecordSeverity(args.severity),
+                opened_at=args.opened_at or datetime.now(timezone.utc),
+                source=analysis.LedgerSource(args.source),
+            )
+            ledger = analysis.ledger_register(ledger, record)
+        else:
             ledger = analysis.ledger_resolve(
                 ledger, args.id, args.closed_at or datetime.now(timezone.utc)
             )
-        except (analysis.AnalysisError, ValueError) as exc:
-            return _fail(str(exc), EXIT_INVALID)
+    except (analysis.AnalysisError, ValueError) as exc:
+        return _fail(str(exc), EXIT_INVALID)
+    try:
         analysis.ledger_save(ledger, args.ledger)
-        return EXIT_OK
-
-    summary = analysis.ledger_exposure(
-        ledger, args.as_of or datetime.now(timezone.utc)
-    )
-    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        return _fail(str(exc), EXIT_IO)
     return EXIT_OK
 
 

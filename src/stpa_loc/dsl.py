@@ -22,6 +22,7 @@ operations. Display names are not part of the grammar: a component's name
 is its id.
 
 The lexer is one `re.finditer` pass over a master pattern, `_LEXEME`.
+Tokens carry their positions; a `SourceSpan` is built only for a diagnostic.
 
 Loss scenarios live in a companion file with the same lexical rules:
 
@@ -124,17 +125,19 @@ EOF = "EOF"
 
 _PUNCTUATION = {"{": LBRACE, "}": RBRACE, ":": COLON, ",": COMMA}
 
-# One named alternative per lexeme, tried in order at each position. A string
+# One named alternative per lexeme, tried in order at each position. A newline
+# takes the next line's indentation with it, and a token the blanks after it,
+# so the only blank run matched on its own indents the first line. A string
 # runs to its closing quote or stops before the end of the line; a backslash
 # and the character after it, unless that is a newline, always travel together.
 _LEXEME = re.compile(
-    r"(?P<NEWLINE>\n)"
+    r"(?P<NEWLINE>\n[ \t\r]*)"
     r"|(?P<BLANK>[ \t\r]+)"
     r"|(?P<COMMENT>#[^\n]*)"
-    r"|(?P<PUNCT>[{}:,])"
+    r"|(?:(?P<PUNCT>[{}:,])"
     r'|(?P<STRING>"(?P<BODY>(?:[^"\\\n]+|\\.?)*)(?P<CLOSE>"?))'
     rf"|(?P<IDENT>{IDENTIFIER})"
-    r"|(?P<OTHER>.)"
+    r"|(?P<OTHER>.))[ \t\r]*"
 )
 _ESCAPE = re.compile(r'\\(["\\]?)')
 
@@ -142,8 +145,14 @@ _ESCAPE = re.compile(r'\\(["\\]?)')
 class Token(NamedTuple):
     kind: str
     text: str
-    value: str
-    span: SourceSpan
+    file: str
+    line: int
+    column: int
+    length: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.file, self.line, self.column, self.length)
 
 
 def _lex(source: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
@@ -156,21 +165,24 @@ def _lex(source: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
         kind = m.lastgroup
         start = m.start()
         col = start - line_start + 1
-        if kind == "BLANK":
-            blank = m.group()
-            if start == line_start and "\t" in blank:
-                span = SourceSpan(file, line, col + blank.index("\t"), 1)
-                diags.append(Diagnostic(Severity.WARNING, "TabIndent", "tab used in indentation", span))
-        elif kind == "IDENT":
-            word = m.group()
-            span = SourceSpan(file, line, col, len(word))
+        if kind == "IDENT":
+            word = m.group(kind)
+            tok = Token(IDENT, word, file, line, col, len(word))
             if len(word) > MAX_IDENTIFIER_LENGTH:
                 message = f"identifier {word[:16]}... exceeds {MAX_IDENTIFIER_LENGTH} characters"
-                diags.append(Diagnostic(Severity.ERROR, "BadIdentifier", message, span))
-            tokens.append(Token(IDENT, word, word, span))
+                diags.append(Diagnostic(Severity.ERROR, "BadIdentifier", message, tok.span))
+            tokens.append(tok)
+        elif kind == "NEWLINE" or kind == "BLANK":
+            if kind == "NEWLINE":
+                line += 1
+                line_start = start + 1
+            indent = m.group()
+            if "\t" in indent:
+                span = SourceSpan(file, line, start + indent.index("\t") - line_start + 1, 1)
+                diags.append(Diagnostic(Severity.WARNING, "TabIndent", "tab used in indentation", span))
         elif kind == "PUNCT":
-            char = m.group()
-            tokens.append(Token(_PUNCTUATION[char], char, char, SourceSpan(file, line, col, 1)))
+            char = m.group(kind)
+            tokens.append(Token(_PUNCTUATION[char], char, file, line, col, 1))
         elif kind == "STRING":
             text = m.group("BODY")
             if "\\" in text:
@@ -181,20 +193,17 @@ def _lex(source: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
                         span = SourceSpan(file, line, at - line_start + 1, 2)
                         diags.append(Diagnostic(Severity.ERROR, "BadEscape", message, span))
                 text = _ESCAPE.sub(lambda escape: escape.group(1) or "\\", text)
-            span = SourceSpan(file, line, col, m.end() - start)
+            tok = Token(STRING, text, file, line, col, m.end(kind) - start)
             if not m.group("CLOSE"):
                 message = "string not closed before end of line"
-                diags.append(Diagnostic(Severity.ERROR, "UnterminatedString", message, span))
-            tokens.append(Token(STRING, text, text, span))
-        elif kind == "NEWLINE":
-            line += 1
-            line_start = m.end()
+                diags.append(Diagnostic(Severity.ERROR, "UnterminatedString", message, tok.span))
+            tokens.append(tok)
         elif kind == "OTHER":
-            message = f"unexpected character {m.group()!r}"
+            message = f"unexpected character {m.group(kind)!r}"
             diags.append(Diagnostic(Severity.ERROR, "UnexpectedToken", message, SourceSpan(file, line, col, 1)))
     # input that ends inside a comment puts the end-of-input token at its '#'
     end = m.start() if m is not None and m.lastgroup == "COMMENT" else len(source)
-    tokens.append(Token(EOF, "", "", SourceSpan(file, line, end - line_start + 1, 1)))
+    tokens.append(Token(EOF, "", file, line, end - line_start + 1, 1))
     return tokens, diags
 
 
@@ -325,7 +334,7 @@ class _ModelParser(_Parser):
         if self.expect_keyword("system"):
             name_tok = self.expect(STRING, "the system name string")
             if name_tok is not None:
-                self.name = name_tok.value
+                self.name = name_tok.text
             self.expect(LBRACE, "'{'")
             while True:
                 tok = self.peek()
@@ -420,7 +429,7 @@ class _ModelParser(_Parser):
                 elif attr_tok.text == "notes":
                     note_tok = self.expect(STRING, "a notes string")
                     if note_tok is not None:
-                        notes = note_tok.value
+                        notes = note_tok.text
                 else:
                     self.error("UnknownAttribute", f"unknown attribute {attr_tok.text!r}", attr_tok)
                     if self.peek().kind in (IDENT, STRING):
@@ -439,7 +448,7 @@ class _ModelParser(_Parser):
             self.sync_to(_ITEM_KEYWORDS)
             return
         if self.claim_id(id_tok, "loss"):
-            self.losses[id_tok.text] = Loss(id=id_tok.text, description=text_tok.value)
+            self.losses[id_tok.text] = Loss(id=id_tok.text, description=text_tok.text)
 
     def hazard_item(self) -> None:
         self.advance()
@@ -451,7 +460,7 @@ class _ModelParser(_Parser):
         losses = self.ident_list()
         if self.claim_id(id_tok, "hazard"):
             self.hazards[id_tok.text] = Hazard(
-                id=id_tok.text, description=text_tok.value, leads_to=frozenset(losses)
+                id=id_tok.text, description=text_tok.text, leads_to=frozenset(losses)
             )
 
     def constraint_item(self) -> None:
@@ -469,7 +478,7 @@ class _ModelParser(_Parser):
         if self.claim_id(id_tok, "constraint"):
             self.constraints[id_tok.text] = SafetyConstraint(
                 id=id_tok.text,
-                text=text_tok.value,
+                text=text_tok.text,
                 mitigates=frozenset(mitigates),
                 enforced_by=frozenset(enforced_by),
             )
@@ -500,11 +509,11 @@ class _ModelParser(_Parser):
             return
         if control:
             self.control_actions[id_tok.text] = ControlAction(
-                id=id_tok.text, label=label_tok.value, source=source_tok.text, target=target_tok.text, via=via
+                id=id_tok.text, label=label_tok.text, source=source_tok.text, target=target_tok.text, via=via
             )
         else:
             self.feedback_channels[id_tok.text] = FeedbackChannel(
-                id=id_tok.text, label=label_tok.value, source=source_tok.text, target=target_tok.text, via=via
+                id=id_tok.text, label=label_tok.text, source=source_tok.text, target=target_tok.text, via=via
             )
 
     def annotate_item(self) -> None:
@@ -534,7 +543,7 @@ class _ModelParser(_Parser):
             )
             return
         self.annotations[key] = UcaAnnotation(
-            control_action=ca_tok.text, uca_type=uca_type, context=context_tok.value, hazards=frozenset(hazards)
+            control_action=ca_tok.text, uca_type=uca_type, context=context_tok.text, hazards=frozenset(hazards)
         )
 
 
@@ -689,7 +698,7 @@ class _ScenarioParser(_Parser):
                 value = self.ident_list() or None
             else:
                 tok = self.expect(STRING, "the description string")
-                value = tok.value if tok is not None else None
+                value = tok.text if tok is not None else None
             if value is None:
                 broken = True
                 break

@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 from conftest import GOLDEN_DIR, MODEL_PATH, SCENARIOS_PATH, run_cli
+from stpa_loc import analysis
 from stpa_loc.catalog import load_catalog
 from stpa_loc.cli import main as cli_main
 
@@ -591,6 +592,31 @@ def test_ledger_resolve_rejects_close_before_open(ledger_env):
         ]
     )
     assert code == 1
+    assert read_records(ledger)[0]["closed_at"] is None
+
+
+def test_ledger_add_to_missing_directory_is_io_error(ledger_env, tmp_path):
+    _, model = ledger_env
+    ledger = str(tmp_path / "no" / "such" / "dir" / "ledger.jsonl")
+    code, out, err = run_cli(add_args(ledger, model))
+    assert (code, out) == (3, "")
+    assert err.startswith("stpa-loc: error:")
+    assert "ledger.jsonl" in err
+
+
+def test_ledger_resolve_unwritable_file_is_io_error(ledger_env, monkeypatch):
+    ledger, model = ledger_env
+    run_cli(add_args(ledger, model))
+
+    def refuse(_ledger, path):
+        raise PermissionError(f"[Errno 13] Permission denied: {path!r}")
+
+    monkeypatch.setattr(analysis, "ledger_save", refuse)
+    code, out, err = run_cli(
+        ["ledger", "resolve", ledger, "--model", model, "--id", "V-1", "--closed-at", CLOSED]
+    )
+    assert (code, out) == (3, "")
+    assert err == f"stpa-loc: error: [Errno 13] Permission denied: {ledger!r}\n"
     assert read_records(ledger)[0]["closed_at"] is None
 
 

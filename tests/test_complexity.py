@@ -102,18 +102,19 @@ def scenario_source(scenarios: list[LossScenario]) -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-def best_time(run) -> float:
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def growth(make_run) -> float:
-    """t(LARGE) / t(SMALL), each the best of REPEATS runs."""
-    return best_time(make_run(LARGE)) / best_time(make_run(SMALL))
+    """t(LARGE) / t(SMALL), each the best of REPEATS runs.
+
+    The two sizes take turns, so a slow stretch of a shared host slows both.
+    """
+    runs = {LARGE: make_run(LARGE), SMALL: make_run(SMALL)}
+    best = dict.fromkeys(runs, float("inf"))
+    for _ in range(REPEATS):
+        for n, run in runs.items():
+            start = time.perf_counter()
+            run()
+            best[n] = min(best[n], time.perf_counter() - start)
+    return best[LARGE] / best[SMALL]
 
 
 def test_build_table_grows_linearly():
