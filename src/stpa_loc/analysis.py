@@ -23,6 +23,7 @@ All functions are pure; ledger mutators return a new ledger.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -34,7 +35,9 @@ from .model import (
     ControlStructureModel,
     Hazard,
     InvalidModel,
+    LedgerSource,
     LossScenario,
+    RecordSeverity,
     SafetyConstraint,
     ScenarioSubType,
     ScenarioType,
@@ -405,30 +408,6 @@ def trace_pathway(scenario: LossScenario, model: ControlStructureModel) -> Pathw
 # Degradation ledger
 
 
-class RecordSeverity(Vocabulary):
-    LOW = "low"
-    MEDIUM = "medium"
-    HIGH = "high"
-
-    @property
-    def weight(self) -> int:
-        return _SEVERITY_WEIGHTS[self]
-
-
-# Geometric spacing so one High outweighs several Lows.
-_SEVERITY_WEIGHTS = {
-    RecordSeverity.LOW: 1,
-    RecordSeverity.MEDIUM: 3,
-    RecordSeverity.HIGH: 9,
-}
-
-
-class LedgerSource(Vocabulary):
-    AUDIT = "audit"
-    CHANGE_MANAGEMENT = "change_management"
-    INCIDENT = "incident"
-
-
 def _require_utc(name: str, value: datetime) -> datetime:
     if value.tzinfo is None:
         raise ValueError(f"{name} must be timezone-aware")
@@ -585,12 +564,32 @@ def _record_from_json(payload: object) -> VulnerabilityRecord:
 
 
 def ledger_save(ledger: Ledger, path: str | Path) -> None:
-    """Write records as line-delimited JSON, one object per line."""
+    """Write records as line-delimited JSON, one object per line.
+
+    The records go to a temporary file in the ledger's directory, which
+    is synced and then renamed over the ledger, so a failed or interrupted
+    save leaves the old ledger whole.
+    """
     lines = [
         json.dumps(_record_to_json(record), ensure_ascii=False)
         for record in ledger.records
     ]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    target = Path(os.path.realpath(path))  # replace a symlink's target, not the link
+    temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8") as handle:
+            handle.write("".join(line + "\n" for line in lines))
+            handle.flush()
+            os.fsync(handle.fileno())
+        if target.exists():
+            os.chmod(temp, target.stat().st_mode & 0o7777)  # keep the ledger's permissions
+        os.replace(temp, target)
+    except OSError as exc:
+        if exc.filename == os.fspath(temp):  # name the ledger, not the temporary file
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+        raise
+    finally:
+        temp.unlink(missing_ok=True)  # already gone after a successful replace
 
 
 def ledger_load(path: str | Path, model: ControlStructureModel) -> Ledger:
@@ -603,10 +602,13 @@ def ledger_load(path: str | Path, model: ControlStructureModel) -> Ledger:
     """
     ledger = Ledger.for_model(model)
     records: dict[str, VulnerabilityRecord] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        record = _record_from_json(json.loads(line))
+        try:
+            record = _record_from_json(json.loads(line))
+        except RecursionError:
+            raise ValueError(f"line {number}: JSON nested too deeply") from None
         _check_admissible(record, records, ledger)
         records[record.id] = record
     return replace(ledger, records=tuple(records.values()))

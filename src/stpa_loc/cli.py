@@ -16,7 +16,6 @@ variable points ``prompts`` at a replacement catalog file.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -24,16 +23,21 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import analysis, catalog as catalog_mod, report
 from .dsl import parse_model, parse_scenarios
 from .model import (
     AiCharacteristic,
     ControlStructureModel,
     Diagnostic,
+    LedgerSource,
+    RecordSeverity,
+    TableDirection,
     format_diagnostic,
     has_errors,
     validate_model,
 )
+
+# analysis, catalog and report are imported inside the commands that use
+# them, so that each command loads only what it runs.
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -41,8 +45,8 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 _DIRECTIONS = {
-    "effect-to-cause": report.TableDirection.EFFECT_TO_CAUSE,
-    "cause-to-effect": report.TableDirection.CAUSE_TO_EFFECT,
+    "effect-to-cause": TableDirection.EFFECT_TO_CAUSE,
+    "cause-to-effect": TableDirection.CAUSE_TO_EFFECT,
 }
 
 
@@ -99,11 +103,6 @@ def _characteristic(text: str) -> AiCharacteristic:
         ) from None
 
 
-def _load_catalog() -> catalog_mod.Catalog:
-    override = os.environ.get("STPA_LOC_CATALOG")
-    return catalog_mod.load_catalog(override if override else None)
-
-
 # --------------------------------------------------------------------------
 # Commands
 
@@ -114,6 +113,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_ucas(args: argparse.Namespace) -> int:
+    import csv
+
+    from . import analysis
+
     model, code = _load_valid_model(args.model)
     if model is None:
         return code
@@ -139,11 +142,14 @@ def cmd_ucas(args: argparse.Namespace) -> int:
 
 
 def cmd_prompts(args: argparse.Namespace) -> int:
+    from . import catalog as catalog_mod
+
     model, code = _load_valid_model(args.model)
     if model is None:
         return code
+    override = os.environ.get("STPA_LOC_CATALOG")
     try:
-        cat = _load_catalog()
+        cat = catalog_mod.load_catalog(override if override else None)
     except catalog_mod.CatalogFormatError as exc:
         return _fail(f"bad catalog: {exc}", EXIT_IO)
     except OSError as exc:
@@ -163,6 +169,8 @@ def cmd_prompts(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from . import analysis, report
+
     model, code = _load_valid_model(args.model)
     if model is None:
         return code
@@ -190,18 +198,17 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_ledger(path: str, model: ControlStructureModel) -> analysis.Ledger:
-    if Path(path).exists():
-        return analysis.ledger_load(path, model)
-    return analysis.Ledger.for_model(model)
-
-
 def cmd_ledger(args: argparse.Namespace) -> int:
+    from . import analysis
+
     model, code = _load_valid_model(args.model)
     if model is None:
         return code
     try:
-        ledger = _load_ledger(args.ledger, model)
+        if Path(args.ledger).exists():
+            ledger = analysis.ledger_load(args.ledger, model)
+        else:
+            ledger = analysis.Ledger.for_model(model)
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
@@ -222,9 +229,9 @@ def cmd_ledger(args: argparse.Namespace) -> int:
                 id=args.id,
                 description=args.description,
                 component=args.component,
-                severity=analysis.RecordSeverity(args.severity),
+                severity=RecordSeverity(args.severity),
                 opened_at=args.opened_at or datetime.now(timezone.utc),
-                source=analysis.LedgerSource(args.source),
+                source=LedgerSource(args.source),
             )
             ledger = analysis.ledger_register(ledger, record)
         else:
@@ -295,10 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_add.add_argument("--id", required=True)
     p_add.add_argument("--description", required=True)
     p_add.add_argument("--component", required=True)
-    p_add.add_argument(
-        "--severity", required=True, choices=analysis.RecordSeverity.tokens()
-    )
-    p_add.add_argument("--source", required=True, choices=analysis.LedgerSource.tokens())
+    p_add.add_argument("--severity", required=True, choices=RecordSeverity.tokens())
+    p_add.add_argument("--source", required=True, choices=LedgerSource.tokens())
     p_add.add_argument("--opened-at", type=_timestamp, default=None)
     p_add.set_defaults(func=cmd_ledger)
 

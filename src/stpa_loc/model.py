@@ -26,7 +26,6 @@ Validation rule codes (emitted by validate_model):
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import re
 from dataclasses import dataclass, field
@@ -172,6 +171,35 @@ class AiCharacteristic(Vocabulary):
     HUMAN_ERROR = "human_error"
     ENFORCEMENT_GAP = "enforcement_gap"
     IMPLEMENTATION_ISSUE = "implementation_issue"
+
+
+class TableDirection(Vocabulary):
+    EFFECT_TO_CAUSE = "effect_to_cause"
+    CAUSE_TO_EFFECT = "cause_to_effect"
+
+
+class RecordSeverity(Vocabulary):
+    LOW = "low"
+    MEDIUM = "medium"
+    HIGH = "high"
+
+    @property
+    def weight(self) -> int:
+        return _SEVERITY_WEIGHTS[self]
+
+
+# Geometric spacing so one High outweighs several Lows.
+_SEVERITY_WEIGHTS = {
+    RecordSeverity.LOW: 1,
+    RecordSeverity.MEDIUM: 3,
+    RecordSeverity.HIGH: 9,
+}
+
+
+class LedgerSource(Vocabulary):
+    AUDIT = "audit"
+    CHANGE_MANAGEMENT = "change_management"
+    INCIDENT = "incident"
 
 
 _SURFACE: dict[Enum, str] = {
@@ -661,6 +689,8 @@ def model_fingerprint(model: ControlStructureModel) -> str:
 
     Raises InvalidModel when validate_model reports any Error.
     """
+    import hashlib  # imported here: it loads OpenSSL, which most commands never need
+
     errors = [d for d in validate_model(model) if d.is_error]
     if errors:
         raise InvalidModel(errors)

@@ -23,7 +23,7 @@ from .analysis import DanglingReference, Pathway, StageKind, resolve_scenario
 from .model import (
     ControlStructureModel,
     LossScenario,
-    Vocabulary,
+    TableDirection,
     in_declaration_order,
     model_fingerprint,
 )
@@ -39,11 +39,6 @@ __all__ = [
     "render_pathway",
     "unescape_cell",
 ]
-
-
-class TableDirection(Vocabulary):
-    EFFECT_TO_CAUSE = "effect_to_cause"
-    CAUSE_TO_EFFECT = "cause_to_effect"
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -722,6 +723,40 @@ def test_ledger_save_load_round_trip(host, tmp_path):
     assert loaded.records == ledger.records
     assert loaded.model_fingerprint == ledger.model_fingerprint
     assert len(path.read_text(encoding="utf-8").splitlines()) == 2
+
+
+@pytest.mark.parametrize("step", ["fsync", "replace"])
+def test_failed_ledger_save_keeps_old_ledger(host, tmp_path, monkeypatch, step):
+    path = tmp_path / "ledger.jsonl"
+    ledger = ledger_register(Ledger.for_model(host), record("V-1", "P"))
+    ledger_save(ledger, path)
+    before = path.read_bytes()
+
+    def fail(*args):
+        names = [os.fspath(arg) for arg in args if not isinstance(arg, int)]
+        raise OSError(28, "No space left on device", *names)
+
+    monkeypatch.setattr(os, step, fail)
+    with pytest.raises(OSError, match="No space left") as raised:
+        ledger_save(ledger_register(ledger, record("V-2", "C")), path)
+    monkeypatch.undo()
+    assert ".tmp" not in str(raised.value)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["ledger.jsonl"]
+
+
+def test_ledger_save_keeps_permissions_and_symlink(host, tmp_path):
+    target = tmp_path / "ledger.jsonl"
+    link = tmp_path / "link.jsonl"
+    ledger = ledger_register(Ledger.for_model(host), record("V-1", "P"))
+    ledger_save(ledger, target)
+    target.chmod(0o640)
+    link.symlink_to(target)
+    ledger_save(ledger_register(ledger, record("V-2", "C")), link)
+    assert link.is_symlink()
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert [r.id for r in ledger_load(link, host).records] == ["V-1", "V-2"]
+    assert sorted(os.listdir(tmp_path)) == ["ledger.jsonl", "link.jsonl"]
 
 
 def test_ledger_load_validates_components(host, tmp_path):

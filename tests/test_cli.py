@@ -678,6 +678,14 @@ def test_ledger_malformed_lines_are_io_errors(ledger_env, tmp_path):
         assert (code, out) == (3, ""), line
         assert err.startswith("stpa-loc: error: bad ledger file:"), line
 
+def test_ledger_deeply_nested_line_is_io_error(ledger_env, tmp_path):
+    ledger, model = ledger_env
+    write(tmp_path, "ledger.jsonl", "\n" + "[" * 2000 + "]" * 2000 + "\n")
+    code, out, err = run_cli(["ledger", "exposure", ledger, "--model", model])
+    assert (code, out) == (3, "")
+    assert err == "stpa-loc: error: bad ledger file: line 2: JSON nested too deeply\n"
+
+
 def test_ledger_foreign_component_in_file_fails(ledger_env, tmp_path):
     ledger, model = ledger_env
     run_cli(add_args(ledger, model))

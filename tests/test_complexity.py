@@ -14,7 +14,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from stpa_loc.analysis import ledger_load, trace_pathway, uca_id
+from stpa_loc.analysis import enumerate_ucas, ledger_load, trace_pathway, uca_id
 from stpa_loc.dsl import parse_model, parse_scenarios, serialize_model
 from stpa_loc.model import (
     CausalFactorType,
@@ -30,8 +30,10 @@ from stpa_loc.model import (
     ScenarioType,
     UcaAnnotation,
     UcaType,
+    model_fingerprint,
+    validate_model,
 )
-from stpa_loc.report import TableDirection, build_table
+from stpa_loc.report import TableDirection, build_table, render_json
 
 pytestmark = pytest.mark.complexity
 
@@ -152,6 +154,40 @@ def test_parse_scenarios_grows_linearly():
         return lambda: parse_scenarios(source, model)
 
     assert growth(make_run) < BOUND
+
+
+def test_validate_model_grows_linearly():
+    def make_run(n):
+        model = synthetic(n)[0]
+        return lambda: validate_model(model)
+
+    assert growth(make_run) < BOUND
+
+
+def test_model_fingerprint_grows_linearly():
+    def make_run(n):
+        model = synthetic(n)[0]
+        return lambda: model_fingerprint(model)
+
+    assert growth(make_run) < BOUND
+
+
+def test_enumerate_ucas_grows_linearly():
+    def make_run(n):
+        model = synthetic(n)[0]
+        return lambda: enumerate_ucas(model)
+
+    assert growth(make_run) < BOUND
+
+
+def test_render_json_grows_linearly():
+    def make_run(n):
+        model, scenarios = synthetic(n)
+        rows = build_table(scenarios, model, TableDirection.EFFECT_TO_CAUSE, include_loss=True)
+        return lambda: render_json(rows, TableDirection.EFFECT_TO_CAUSE, model)
+
+    assert growth(make_run) < BOUND
+
 
 def test_ledger_load_grows_linearly(tmp_path):
     model, _ = synthetic(4)

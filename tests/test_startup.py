@@ -1,0 +1,56 @@
+"""Start-up cost and the lazily loaded public API.
+
+Every ``stpa-loc`` command is a fresh process, so what ``import
+stpa_loc.cli`` loads is paid on every command. The package resolves its
+public names on first access, and the CLI imports the analysis, catalog
+and report modules only inside the commands that run them.
+"""
+
+from __future__ import annotations
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import stpa_loc
+
+
+def run_fresh(code: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports this stpa_loc."""
+    env = dict(os.environ, PYTHONPATH=str(Path(stpa_loc.__file__).parent.parent))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+
+
+def test_cli_import_loads_only_the_front_end():
+    out = run_fresh(
+        "import sys, stpa_loc.cli; "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('stpa_loc'))))"
+    )
+    assert out.split() == ["stpa_loc", "stpa_loc.cli", "stpa_loc.dsl", "stpa_loc.model"]
+
+
+@pytest.mark.parametrize("name", sorted(set(stpa_loc.__all__) - {"__version__"}))
+def test_public_name_is_the_object_its_home_module_defines(name):
+    value = getattr(stpa_loc, name)
+    assert getattr(importlib.import_module(value.__module__), name) is value
+
+
+def test_star_import_and_dir_cover_all_before_any_access():
+    out = run_fresh(
+        "import stpa_loc; listed = set(dir(stpa_loc)); bound = {}; "
+        "exec('from stpa_loc import *', bound); "
+        "print(sorted(set(stpa_loc.__all__) - listed), sorted(set(stpa_loc.__all__) - set(bound)))"
+    )
+    assert out == "[] []\n"
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(stpa_loc, "no_such_name")
+    assert not hasattr(stpa_loc, "Vocabulary")
