@@ -324,6 +324,27 @@ def test_escape_unescape_identity(text):
     assert unescape_cell(escape_cell(text)) == text
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("", ""),
+        ("plain", "plain"),
+        ("\\x", "\\x"),  # unknown escape: both characters kept
+        ("\\", "\\"),  # lone trailing backslash kept
+        ("a\\", "a\\"),
+        ("\\\\n", "\\n"),  # escaped backslash, then a literal n
+        ("\\\\\\|", "\\|"),  # escaped backslash, then an escaped pipe
+        ("\\n", "\n"),
+        ("\\|", "|"),
+        ("\\x\\n", "\\x\n"),
+        ("\\\\\\", "\\\\"),  # escaped backslash, then a trailing one
+        ("a\\nb\\|c\\\\d", "a\nb|c\\d"),
+    ],
+)
+def test_unescape_cell_cases(text, expected):
+    assert unescape_cell(text) == expected
+
+
 def test_escape_collisions_stay_distinct():
     pairs = [("a|b", "a\\|b"), ("a\\nb", "a\nb"), ("a\\\\nb", "a\\nb")]
     for left, right in pairs:
