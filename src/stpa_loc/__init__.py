@@ -69,66 +69,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AgentNature",
-    "AiCharacteristic",
-    "Catalog",
-    "CatalogEntry",
-    "CatalogFormatError",
-    "CausalFactorType",
-    "CharacterizationRow",
-    "Component",
-    "ComponentKind",
-    "ControlAction",
-    "ControlStructureModel",
-    "Diagnostic",
-    "FeedbackChannel",
-    "Hazard",
-    "InvalidModel",
-    "Ledger",
-    "LedgerSource",
-    "LifecyclePhase",
-    "Loss",
-    "LossScenario",
-    "Pathway",
-    "PathwayStage",
-    "Prompt",
-    "RecordSeverity",
-    "SafetyConstraint",
-    "ScenarioSubType",
-    "ScenarioType",
-    "Severity",
-    "SourceSpan",
-    "StageKind",
-    "TableDirection",
-    "UcaAnnotation",
-    "UcaType",
-    "UnsafeControlAction",
-    "VulnerabilityRecord",
-    "build_table",
-    "classify_scenario",
-    "derive_constraints",
-    "enumerate_ucas",
-    "filter_entries",
-    "format_diagnostic",
-    "generate_prompts",
-    "has_errors",
-    "ledger_exposure",
-    "ledger_load",
-    "ledger_register",
-    "ledger_resolve",
-    "ledger_save",
-    "load_catalog",
-    "match_catalog",
-    "model_fingerprint",
-    "parse_model",
-    "parse_scenarios",
-    "render_csv",
-    "render_json",
-    "render_markdown",
-    "render_pathway",
-    "serialize_model",
-    "trace_pathway",
-    "validate_model",
-    "__version__",
-]
+__all__ = [*sorted(_HOME), "__version__"]

@@ -34,7 +34,6 @@ from .model import (
     ComponentKind,
     ControlStructureModel,
     Hazard,
-    InvalidModel,
     LedgerSource,
     LossScenario,
     RecordSeverity,
@@ -48,7 +47,7 @@ from .model import (
     AiCharacteristic,
     in_declaration_order,
     model_fingerprint,
-    validate_model,
+    _require_valid,
 )
 
 __all__ = [
@@ -130,9 +129,7 @@ def enumerate_ucas(model: ControlStructureModel) -> list[UnsafeControlAction]:
     Raises :class:`~stpa_loc.model.InvalidModel` if the model does not
     validate cleanly.
     """
-    errors = [d for d in validate_model(model) if d.is_error]
-    if errors:
-        raise InvalidModel(errors)
+    _require_valid(model)
     return [
         _build_uca(model, ca_id, uca_type)
         for ca_id in sorted(model.control_actions)

@@ -2,10 +2,11 @@
 
 Exit codes are part of the interface and stay stable:
 
-    0  success
-    1  validation or analysis errors in the inputs
-    2  usage error (bad flags or arguments)
-    3  I/O or data-format error (unreadable file, bad catalog)
+      0  success
+      1  validation or analysis errors in the inputs
+      2  usage error (bad flags or arguments)
+      3  I/O or data-format error (unreadable file, bad catalog)
+    141  the consumer of standard output closed the pipe early (128 + SIGPIPE)
 
 Machine-readable output goes to standard output; diagnostics and error
 messages go to standard error. Commands never write to any file except
@@ -33,7 +34,6 @@ from .model import (
     TableDirection,
     format_diagnostic,
     has_errors,
-    validate_model,
 )
 
 # analysis, catalog and report are imported inside the commands that use
@@ -75,7 +75,7 @@ def _load_valid_model(path: str) -> tuple[ControlStructureModel | None, int]:
     except OSError as exc:
         return None, _fail(str(exc), EXIT_IO)
     model, diagnostics = parse_model(source, file=path)
-    diagnostics = diagnostics + validate_model(model)
+    diagnostics = [*diagnostics, *model.diagnostics]
     _print_diagnostics(diagnostics, path)
     if has_errors(diagnostics):
         return None, EXIT_INVALID
@@ -211,7 +211,7 @@ def cmd_ledger(args: argparse.Namespace) -> int:
             ledger = analysis.Ledger.for_model(model)
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:
         return _fail(f"bad ledger file: {exc}", EXIT_IO)
     except analysis.AnalysisError as exc:
         return _fail(str(exc), EXIT_INVALID)

@@ -68,7 +68,6 @@ from .model import (
     Diagnostic,
     FeedbackChannel,
     Hazard,
-    InvalidModel,
     LifecyclePhase,
     Loss,
     LossScenario,
@@ -79,7 +78,7 @@ from .model import (
     SourceSpan,
     UcaAnnotation,
     UcaType,
-    validate_model,
+    _require_valid,
 )
 
 _COMPONENT_KEYWORDS = {
@@ -583,9 +582,7 @@ def serialize_model(model: ControlStructureModel) -> str:
     are canonicalized to the component id. Raises InvalidModel when the
     model has validation errors.
     """
-    errors = [d for d in validate_model(model) if d.is_error]
-    if errors:
-        raise InvalidModel(errors)
+    _require_valid(model)
     lines = [f"system {_quote(model.name)} {{"]
     lines.append(f"  lifecycle: {model.lifecycle.token}")
     for _, component in sorted(model.components.items()):

@@ -10,6 +10,7 @@ Validation rule codes (emitted by validate_model):
     KeyMismatch               collection key differs from the item's id     Error
     DuplicateId               one id names two different entities           Error
     EmptyDescription          loss/hazard/constraint text is blank          Error
+    ConstraintNoHazard        constraint has an empty mitigates set         Error
     MissingController         no Controller component declared              Error
     MissingControlledProcess  no ControlledProcess component declared       Error
     DanglingLossRef           hazard leads_to names an unknown loss         Error
@@ -30,7 +31,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 # The identifier grammar, shared by validate_model and the lexer in dsl.py.
 IDENTIFIER = r"[A-Za-z][A-Za-z0-9_-]*"
@@ -460,6 +461,13 @@ class LossScenario:
 
 @dataclass(frozen=True)
 class ControlStructureModel:
+    """A control structure, keyed by id in each collection.
+
+    A model is a value: its validation result is computed once, on first
+    use of :attr:`diagnostics`, so its mappings must not be mutated after
+    construction. Build a changed model with ``dataclasses.replace``.
+    """
+
     name: str
     lifecycle: LifecyclePhase
     components: Mapping[str, Component] = field(default_factory=dict)
@@ -498,6 +506,11 @@ class ControlStructureModel:
     def components_of_kind(self, kind: ComponentKind) -> list[Component]:
         return [c for _, c in sorted(self.components.items()) if c.kind is kind]
 
+    @functools.cached_property
+    def diagnostics(self) -> tuple[Diagnostic, ...]:
+        """validate_model's result for this model, computed on first use."""
+        return tuple(validate_model(self))
+
 
 # --------------------------------------------------------------------------
 # Validation
@@ -516,17 +529,16 @@ def _normalized(text: str) -> str:
     return " ".join(text.split()).casefold()
 
 
-def _iter_declared_ids(model: ControlStructureModel) -> Iterator[tuple[str, str]]:
-    for category, collection in (
+def _id_collections(model: ControlStructureModel) -> tuple[tuple[str, Mapping], ...]:
+    """The id-keyed collections with their categories, in diagnostic order."""
+    return (
         ("component", model.components),
         ("loss", model.losses),
         ("hazard", model.hazards),
         ("constraint", model.constraints),
         ("control action", model.control_actions),
         ("feedback channel", model.feedback_channels),
-    ):
-        for item_id in sorted(collection):
-            yield category, item_id
+    )
 
 
 def _check_endpoint(
@@ -556,6 +568,13 @@ def _check_endpoint(
         )
 
 
+def _require_valid(model: ControlStructureModel) -> None:
+    """Raise InvalidModel when the model's diagnostics include any Error."""
+    errors = [d for d in model.diagnostics if d.is_error]
+    if errors:
+        raise InvalidModel(errors)
+
+
 def validate_model(model: ControlStructureModel) -> list[Diagnostic]:
     """Check every structural invariant, returning one diagnostic per violation.
 
@@ -565,14 +584,7 @@ def validate_model(model: ControlStructureModel) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
 
     # identifier shape and key consistency
-    for category, collection in (
-        ("component", model.components),
-        ("loss", model.losses),
-        ("hazard", model.hazards),
-        ("constraint", model.constraints),
-        ("control action", model.control_actions),
-        ("feedback channel", model.feedback_channels),
-    ):
+    for category, collection in _id_collections(model):
         for key, item in sorted(collection.items()):
             if len(item.id) > MAX_IDENTIFIER_LENGTH or not IDENTIFIER_RE.fullmatch(item.id):
                 diags.append(_err("BadIdentifier", f"{category} id {item.id!r} is not a legal identifier"))
@@ -581,16 +593,16 @@ def validate_model(model: ControlStructureModel) -> list[Diagnostic]:
 
     # one flat namespace: an id may name only one entity
     seen: dict[str, str] = {}
-    for category, item_id in _iter_declared_ids(model):
-        if item_id in seen:
-            if {category, seen[item_id]} == {"hazard", "loss"}:
+    for category, collection in _id_collections(model):
+        for item_id in sorted(collection):
+            if item_id not in seen:
+                seen[item_id] = category
+            elif {category, seen[item_id]} == {"hazard", "loss"}:
                 diags.append(_err("HazardIdClashesLoss", f"hazard id {item_id} collides with a loss id"))
             else:
                 diags.append(
                     _err("DuplicateId", f"id {item_id} declared as both {seen[item_id]} and {category}")
                 )
-        else:
-            seen[item_id] = category
 
     # topology: the loop needs at least one controller and one process
     kinds = {c.kind for c in model.components.values()}
@@ -691,9 +703,7 @@ def model_fingerprint(model: ControlStructureModel) -> str:
     """
     import hashlib  # imported here: it loads OpenSSL, which most commands never need
 
-    errors = [d for d in validate_model(model) if d.is_error]
-    if errors:
-        raise InvalidModel(errors)
+    _require_valid(model)
     payload = {
         "name": model.name,
         "lifecycle": model.lifecycle.token,

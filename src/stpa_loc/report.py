@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass
 
 from .analysis import DanglingReference, Pathway, StageKind, resolve_scenario
@@ -193,28 +194,14 @@ def escape_cell(text: str) -> str:
     return text.replace("\\", "\\\\").replace("|", "\\|").replace("\n", "\\n")
 
 
+# One escape: a backslash before a backslash, a pipe or an n. Any other
+# backslash, a trailing one included, stands for itself.
+_CELL_ESCAPE = re.compile(r"\\([\\|n])")
+
+
 def unescape_cell(text: str) -> str:
     """Invert :func:`escape_cell`."""
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt == "\\":
-                out.append("\\")
-            elif nxt == "|":
-                out.append("|")
-            elif nxt == "n":
-                out.append("\n")
-            else:
-                out.append(ch)
-                out.append(nxt)
-            i += 2
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return _CELL_ESCAPE.sub(lambda m: "\n" if m[1] == "n" else m[1], text)
 
 
 def render_markdown(rows: list[CharacterizationRow], direction: TableDirection) -> str:

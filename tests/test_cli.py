@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import importlib
 import io
 import json
 import os
@@ -722,6 +723,43 @@ READ_ONLY_COMMANDS = [
 @pytest.mark.parametrize("argv", READ_ONLY_COMMANDS, ids=lambda argv: " ".join(argv[:1] + argv[3:]))
 def test_read_only_commands_are_deterministic(argv):
     assert run_cli(argv) == run_cli(argv)
+
+
+# --- validation runs once --------------------------------------------------------
+
+
+def test_each_command_validates_the_model_once(tmp_path, monkeypatch):
+    calls = []
+    real = importlib.import_module("stpa_loc.model").validate_model
+
+    def counting(model):
+        calls.append(model)
+        return real(model)
+
+    # count every validation, whichever module's reference made the call
+    for name in ("model", "dsl", "analysis", "catalog", "report", "cli"):
+        module = importlib.import_module(f"stpa_loc.{name}")
+        if getattr(module, "validate_model", None) is real:
+            monkeypatch.setattr(module, "validate_model", counting)
+    ledger = str(tmp_path / "ledger.jsonl")
+    model, scenarios = str(MODEL_PATH), str(SCENARIOS_PATH)
+    commands = {
+        "validate": ["validate", model],
+        "ucas": ["ucas", model],
+        "prompts": ["prompts", model],
+        "report csv": ["report", model, scenarios],
+        "report md": ["report", model, scenarios, "--format", "md"],
+        "report json": ["report", model, scenarios, "--format", "json"],
+        "ledger add": add_args(ledger, model, component="ChatMonitor"),
+        "ledger resolve": ["ledger", "resolve", ledger, "--model", model, "--id", "V-1", "--closed-at", CLOSED],
+        "ledger exposure": ["ledger", "exposure", ledger, "--model", model, "--as-of", CLOSED],
+    }
+    counts = {}
+    for label, argv in commands.items():
+        calls.clear()
+        assert run_cli(argv)[0] == 0, label
+        counts[label] = len(calls)
+    assert counts == dict.fromkeys(commands, 1)
 
 
 def test_closed_stdout_pipe_exits_141_without_traceback(tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 
@@ -394,6 +396,25 @@ def test_fingerprint_rejects_invalid_model():
     )
     with pytest.raises(InvalidModel):
         model_fingerprint(model)
+
+
+def test_diagnostics_is_validate_model_once():
+    model = minimal_model(
+        hazards=[Hazard(id="H-1", description="h", leads_to={"L-9"})]
+    )
+    assert model.diagnostics == tuple(validate_model(model))
+    assert model.diagnostics is model.diagnostics
+
+
+def test_replace_gives_a_fresh_diagnostics_cache():
+    model = minimal_model()
+    assert not has_errors(model.diagnostics)
+    broken = dataclasses.replace(model, components={})
+    assert broken.diagnostics == tuple(validate_model(broken))
+    assert has_errors(broken.diagnostics)
+    assert not has_errors(model.diagnostics)
+    # the cached result takes no part in equality
+    assert dataclasses.replace(broken, components=model.components) == model
 
 
 @settings(max_examples=60, deadline=None)
