@@ -296,34 +296,16 @@ def _resolve_uca(uca_ref: str, model: ControlStructureModel) -> UnsafeControlAct
 class StageKind(Vocabulary):
     """Positions a causal pathway can pass through, in loop order."""
 
-    CONTROLLED_PROCESS = "controlled_process"
-    SENSOR = "sensor"
-    FEEDBACK_SIGNAL = "feedback_signal"
-    CONTROLLER = "controller"
-    PROCESS_MODEL_DEFECT = "process_model_defect"
-    CONTROL_ALGORITHM_DEFECT = "control_algorithm_defect"
-    CONTROL_ACTION_SIGNAL = "control_action_signal"
-    ACTUATOR = "actuator"
-    HAZARD = "hazard"
-    LOSS = "loss"
-
-    @property
-    def surface(self) -> str:
-        return _STAGE_SURFACE[self]
-
-
-_STAGE_SURFACE = {
-    StageKind.CONTROLLED_PROCESS: "ControlledProcess",
-    StageKind.SENSOR: "Sensor",
-    StageKind.FEEDBACK_SIGNAL: "FeedbackSignal",
-    StageKind.CONTROLLER: "Controller",
-    StageKind.PROCESS_MODEL_DEFECT: "ProcessModelDefect",
-    StageKind.CONTROL_ALGORITHM_DEFECT: "ControlAlgorithmDefect",
-    StageKind.CONTROL_ACTION_SIGNAL: "ControlActionSignal",
-    StageKind.ACTUATOR: "Actuator",
-    StageKind.HAZARD: "Hazard",
-    StageKind.LOSS: "Loss",
-}
+    CONTROLLED_PROCESS = "controlled_process", "ControlledProcess"
+    SENSOR = "sensor", "Sensor"
+    FEEDBACK_SIGNAL = "feedback_signal", "FeedbackSignal"
+    CONTROLLER = "controller", "Controller"
+    PROCESS_MODEL_DEFECT = "process_model_defect", "ProcessModelDefect"
+    CONTROL_ALGORITHM_DEFECT = "control_algorithm_defect", "ControlAlgorithmDefect"
+    CONTROL_ACTION_SIGNAL = "control_action_signal", "ControlActionSignal"
+    ACTUATOR = "actuator", "Actuator"
+    HAZARD = "hazard", "Hazard"
+    LOSS = "loss", "Loss"
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,8 @@ Diagnostic rule codes:
     UnknownEnumToken    token outside a closed vocabulary               Error
     UnterminatedString  string still open at end of line                Error
     BadEscape           backslash escape other than \\" or \\\\         Error
-    BadIdentifier       identifier longer than 64 characters            Error
+    BadIdentifier       identifier longer than 64 characters (87 for    Error
+                        a scenario's uca: value)
     DuplicateId         id already declared in this file                Error
     DuplicateAnnotation (control action, UCA type) annotated twice      Error
     MissingField        scenario lacks a required field                 Error
@@ -140,6 +141,10 @@ _LEXEME = re.compile(
 )
 _ESCAPE = re.compile(r'\\(["\\]?)')
 
+# A scenario's `uca:` value is an id printed by `stpa-loc ucas`: a control
+# action id, a "-" and a UCA type token, so it may be that much longer.
+_UCA_ID_LIMIT = MAX_IDENTIFIER_LENGTH + 1 + max(map(len, UcaType.tokens()))
+
 
 class Token(NamedTuple):
     kind: str
@@ -154,7 +159,9 @@ class Token(NamedTuple):
         return SourceSpan(self.file, self.line, self.column, self.length)
 
 
-def _lex(source: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
+def _lex(
+    source: str, file: str, uca_limit: int = MAX_IDENTIFIER_LENGTH
+) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
     line = 1
@@ -168,8 +175,11 @@ def _lex(source: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
             word = m.group(kind)
             tok = Token(IDENT, word, file, line, col, len(word))
             if len(word) > MAX_IDENTIFIER_LENGTH:
-                message = f"identifier {word[:16]}... exceeds {MAX_IDENTIFIER_LENGTH} characters"
-                diags.append(Diagnostic(Severity.ERROR, "BadIdentifier", message, tok.span))
+                after_uca = [t[:2] for t in tokens[-2:]] == [(IDENT, "uca"), (COLON, ":")]
+                limit = uca_limit if after_uca else MAX_IDENTIFIER_LENGTH
+                if len(word) > limit:
+                    message = f"identifier {word[:16]}... exceeds {limit} characters"
+                    diags.append(Diagnostic(Severity.ERROR, "BadIdentifier", message, tok.span))
             tokens.append(tok)
         elif kind == "NEWLINE" or kind == "BLANK":
             if kind == "NEWLINE":
@@ -751,8 +761,11 @@ def parse_scenarios(
     Scenario origins resolve immediately (the origin's component kind is
     baked into each LossScenario); UCA references are plain ids checked
     later by ``analysis.resolve_scenario``, behind tables and pathways.
+    A ``uca:`` value may exceed the 64-character identifier limit by the
+    "-" and UCA type token that ``uca_id`` appends; every other identifier
+    keeps the limit.
     """
-    tokens, diags = _lex(source_text, file)
+    tokens, diags = _lex(source_text, file, _UCA_ID_LIMIT)
     parser = _ScenarioParser(tokens, diags, model)
     scenarios = parser.parse()
     return scenarios, diags

@@ -55,19 +55,23 @@ class InvalidModel(Exception):
 #
 # Every vocabulary value has two text representations: a machine token used
 # by the modeling language and the data files (the enum value), and a
-# display surface form used when rendering tables. Tokens round-trip:
+# display surface form used when rendering tables. Each member declares
+# both, as ``MEMBER = "token", "Surface form"``; a member declared with a
+# token alone has an empty surface form. Tokens round-trip:
 # Cls(member.token) is member.
 # --------------------------------------------------------------------------
 
 
 class Vocabulary(Enum):
+    def __new__(cls, token: str, surface: str = ""):
+        member = object.__new__(cls)
+        member._value_ = token
+        member.surface = surface
+        return member
+
     @property
     def token(self) -> str:
         return self.value
-
-    @property
-    def surface(self) -> str:
-        return _SURFACE[self]
 
     @property
     def rank(self) -> int:
@@ -80,47 +84,47 @@ class Vocabulary(Enum):
 
 
 class LifecyclePhase(Vocabulary):
-    DESIGN = "design"
-    DEVELOPMENT = "development"
-    DEPLOYMENT = "deployment"
-    OPERATIONS = "operations"
-    SYSTEM_UPDATE = "system_update"
-    DECOMMISSIONING = "decommissioning"
+    DESIGN = "design", "Design"
+    DEVELOPMENT = "development", "Development"
+    DEPLOYMENT = "deployment", "Deployment"
+    OPERATIONS = "operations", "Operations"
+    SYSTEM_UPDATE = "system_update", "System update"
+    DECOMMISSIONING = "decommissioning", "Decommissioning"
 
 
 class ComponentKind(Vocabulary):
-    CONTROLLER = "controller"
-    CONTROLLED_PROCESS = "controlled_process"
-    ACTUATOR = "actuator"
-    SENSOR = "sensor"
-    ENVIRONMENT = "environment"
+    CONTROLLER = "controller", "Controller"
+    CONTROLLED_PROCESS = "controlled_process", "Controlled process"
+    ACTUATOR = "actuator", "Actuator"
+    SENSOR = "sensor", "Sensor"
+    ENVIRONMENT = "environment", "Environment"
 
 
 class AgentNature(Vocabulary):
-    HUMAN = "human"
-    AUTOMATED = "automated"
-    AI_CONTAINING = "ai_containing"
+    HUMAN = "human", "Human"
+    AUTOMATED = "automated", "Automated"
+    AI_CONTAINING = "ai_containing", "AI-containing"
 
 
 class UcaType(Vocabulary):
-    NOT_PROVIDED = "not_provided"
-    PROVIDED_CAUSES_HAZARD = "provided_causes_hazard"
-    WRONG_TIME_OR_ORDER = "wrong_time_or_order"
-    WRONG_DURATION = "wrong_duration"
+    NOT_PROVIDED = "not_provided", "Not provided"
+    PROVIDED_CAUSES_HAZARD = "provided_causes_hazard", "Provided causes hazard"
+    WRONG_TIME_OR_ORDER = "wrong_time_or_order", "Wrong time or order"
+    WRONG_DURATION = "wrong_duration", "Wrong duration"
 
 
 class ScenarioType(Vocabulary):
-    TYPE_A_UNSAFE_CONTROL_ACTION = "type_a"
-    TYPE_B_IMPROPER_EXECUTION = "type_b"
+    TYPE_A_UNSAFE_CONTROL_ACTION = "type_a", "Unsafe Control Action"
+    TYPE_B_IMPROPER_EXECUTION = "type_b", "Unsafe control action execution"
 
 
 class ScenarioSubType(Vocabulary):
-    CA_NOT_PROVIDED = "not_provided"
-    CA_LEADS_TO_HAZARD = "leads_to_hazard"
-    CA_WRONG_TIME_OR_ORDER = "wrong_time_or_order"
-    CA_WRONG_DURATION = "wrong_duration"
-    CA_NOT_EXECUTED = "not_executed"
-    CA_EXECUTED_IMPROPERLY = "executed_improperly"
+    CA_NOT_PROVIDED = "not_provided", "Control action not provided"
+    CA_LEADS_TO_HAZARD = "leads_to_hazard", "Providing control action leads to hazard"
+    CA_WRONG_TIME_OR_ORDER = "wrong_time_or_order", "Control action - wrong time or order"
+    CA_WRONG_DURATION = "wrong_duration", "Control action provided for wrong duration"
+    CA_NOT_EXECUTED = "not_executed", "Control action not executed"
+    CA_EXECUTED_IMPROPERLY = "executed_improperly", "Control action executed improperly"
 
 
 # Sub-types legal for each scenario type. Constructing a LossScenario with a
@@ -140,38 +144,47 @@ SUBTYPES_FOR_TYPE: dict[ScenarioType, tuple[ScenarioSubType, ...]] = {
 
 
 class CausalFactorType(Vocabulary):
-    INADEQUATE_CONTROL_ALGORITHM = "inadequate_control_algorithm"
-    FLAWED_PROCESS_MODEL = "flawed_process_model"
-    INCOMPLETE_PROCESS_MODEL = "incomplete_process_model"
-    INADEQUATE_OPERATION_OF_CONTROLLED_PROCESS = "inadequate_operation_of_controlled_process"
-    INADEQUATE_OPERATION_OF_ACTUATOR = "inadequate_operation_of_actuator"
-    INADEQUATE_OPERATION_OF_SENSOR = "inadequate_operation_of_sensor"
-    FEEDBACK_INCORRECT_MISSING_DELAYED = "feedback_incorrect_missing_delayed"
-    CONTROL_ACTION_INCORRECT_MISSING_DELAYED = "control_action_incorrect_missing_delayed"
-    AUTHENTICATION_ISSUE = "authentication_issue"
-    DELAY = "delay"
+    INADEQUATE_CONTROL_ALGORITHM = "inadequate_control_algorithm", "Inadequate control algorithm"
+    FLAWED_PROCESS_MODEL = "flawed_process_model", "Controller process model failure"
+    INCOMPLETE_PROCESS_MODEL = "incomplete_process_model", "Incomplete process model"
+    INADEQUATE_OPERATION_OF_CONTROLLED_PROCESS = (
+        "inadequate_operation_of_controlled_process",
+        "Inadequate operation of controlled process",
+    )
+    INADEQUATE_OPERATION_OF_ACTUATOR = "inadequate_operation_of_actuator", "Inadequate operation of actuator"
+    INADEQUATE_OPERATION_OF_SENSOR = "inadequate_operation_of_sensor", "Inadequate operation of sensor"
+    FEEDBACK_INCORRECT_MISSING_DELAYED = (
+        "feedback_incorrect_missing_delayed",
+        "Provided feedback incorrect, missing, delayed",
+    )
+    CONTROL_ACTION_INCORRECT_MISSING_DELAYED = (
+        "control_action_incorrect_missing_delayed",
+        "Control action incorrect, missing, delayed",
+    )
+    AUTHENTICATION_ISSUE = "authentication_issue", "Authentication issue"
+    DELAY = "delay", "Delay"
 
 
 class AiCharacteristic(Vocabulary):
-    OUTER_MISALIGNMENT = "outer_misalignment"
-    INNER_MISALIGNMENT = "inner_misalignment"
-    AGENCY = "agency"
-    DECEPTION = "deception"
-    INSTRUMENTAL_GOALS = "instrumental_goals"
-    SITUATIONAL_AWARENESS = "situational_awareness"
-    DYNAMIC_CHANGE = "dynamic_change"
-    DISTRIBUTION_SHIFT = "distribution_shift"
-    INSCRUTABILITY = "inscrutability"
-    AUTONOMY = "autonomy"
-    CAPABILITY_UNCERTAINTY = "capability_uncertainty"
-    SPEED_ASYMMETRY = "speed_asymmetry"
-    BREADTH_DEPTH_KNOWLEDGE = "breadth_depth_knowledge"
-    BREADTH_DEPTH_REASONING = "breadth_depth_reasoning"
-    OUTPACES_REGULATION = "outpaces_regulation"
-    DEPENDENCY_VALUE = "dependency_value"
-    HUMAN_ERROR = "human_error"
-    ENFORCEMENT_GAP = "enforcement_gap"
-    IMPLEMENTATION_ISSUE = "implementation_issue"
+    OUTER_MISALIGNMENT = "outer_misalignment", "Outer misalignment"
+    INNER_MISALIGNMENT = "inner_misalignment", "Inner misalignment"
+    AGENCY = "agency", "Agency"
+    DECEPTION = "deception", "Deception"
+    INSTRUMENTAL_GOALS = "instrumental_goals", "Instrumental goals"
+    SITUATIONAL_AWARENESS = "situational_awareness", "Situational awareness"
+    DYNAMIC_CHANGE = "dynamic_change", "Dynamic change"
+    DISTRIBUTION_SHIFT = "distribution_shift", "Distribution shift"
+    INSCRUTABILITY = "inscrutability", "Inscrutability"
+    AUTONOMY = "autonomy", "Autonomy"
+    CAPABILITY_UNCERTAINTY = "capability_uncertainty", "Uncertainty of AI capabilities"
+    SPEED_ASYMMETRY = "speed_asymmetry", "Speed asymmetry"
+    BREADTH_DEPTH_KNOWLEDGE = "breadth_depth_knowledge", "Breadth and depth of knowledge"
+    BREADTH_DEPTH_REASONING = "breadth_depth_reasoning", "Breadth and depth of reasoning"
+    OUTPACES_REGULATION = "outpaces_regulation", "AI development outpaces regulation"
+    DEPENDENCY_VALUE = "dependency_value", "High value of AI creates dependency"
+    HUMAN_ERROR = "human_error", "Human error"
+    ENFORCEMENT_GAP = "enforcement_gap", "Lack of enforcement capabilities"
+    IMPLEMENTATION_ISSUE = "implementation_issue", "Implementation issue"
 
 
 class TableDirection(Vocabulary):
@@ -201,65 +214,6 @@ class LedgerSource(Vocabulary):
     AUDIT = "audit"
     CHANGE_MANAGEMENT = "change_management"
     INCIDENT = "incident"
-
-
-_SURFACE: dict[Enum, str] = {
-    LifecyclePhase.DESIGN: "Design",
-    LifecyclePhase.DEVELOPMENT: "Development",
-    LifecyclePhase.DEPLOYMENT: "Deployment",
-    LifecyclePhase.OPERATIONS: "Operations",
-    LifecyclePhase.SYSTEM_UPDATE: "System update",
-    LifecyclePhase.DECOMMISSIONING: "Decommissioning",
-    ComponentKind.CONTROLLER: "Controller",
-    ComponentKind.CONTROLLED_PROCESS: "Controlled process",
-    ComponentKind.ACTUATOR: "Actuator",
-    ComponentKind.SENSOR: "Sensor",
-    ComponentKind.ENVIRONMENT: "Environment",
-    AgentNature.HUMAN: "Human",
-    AgentNature.AUTOMATED: "Automated",
-    AgentNature.AI_CONTAINING: "AI-containing",
-    UcaType.NOT_PROVIDED: "Not provided",
-    UcaType.PROVIDED_CAUSES_HAZARD: "Provided causes hazard",
-    UcaType.WRONG_TIME_OR_ORDER: "Wrong time or order",
-    UcaType.WRONG_DURATION: "Wrong duration",
-    ScenarioType.TYPE_A_UNSAFE_CONTROL_ACTION: "Unsafe Control Action",
-    ScenarioType.TYPE_B_IMPROPER_EXECUTION: "Unsafe control action execution",
-    ScenarioSubType.CA_NOT_PROVIDED: "Control action not provided",
-    ScenarioSubType.CA_LEADS_TO_HAZARD: "Providing control action leads to hazard",
-    ScenarioSubType.CA_WRONG_TIME_OR_ORDER: "Control action - wrong time or order",
-    ScenarioSubType.CA_WRONG_DURATION: "Control action provided for wrong duration",
-    ScenarioSubType.CA_NOT_EXECUTED: "Control action not executed",
-    ScenarioSubType.CA_EXECUTED_IMPROPERLY: "Control action executed improperly",
-    CausalFactorType.INADEQUATE_CONTROL_ALGORITHM: "Inadequate control algorithm",
-    CausalFactorType.FLAWED_PROCESS_MODEL: "Controller process model failure",
-    CausalFactorType.INCOMPLETE_PROCESS_MODEL: "Incomplete process model",
-    CausalFactorType.INADEQUATE_OPERATION_OF_CONTROLLED_PROCESS: "Inadequate operation of controlled process",
-    CausalFactorType.INADEQUATE_OPERATION_OF_ACTUATOR: "Inadequate operation of actuator",
-    CausalFactorType.INADEQUATE_OPERATION_OF_SENSOR: "Inadequate operation of sensor",
-    CausalFactorType.FEEDBACK_INCORRECT_MISSING_DELAYED: "Provided feedback incorrect, missing, delayed",
-    CausalFactorType.CONTROL_ACTION_INCORRECT_MISSING_DELAYED: "Control action incorrect, missing, delayed",
-    CausalFactorType.AUTHENTICATION_ISSUE: "Authentication issue",
-    CausalFactorType.DELAY: "Delay",
-    AiCharacteristic.OUTER_MISALIGNMENT: "Outer misalignment",
-    AiCharacteristic.INNER_MISALIGNMENT: "Inner misalignment",
-    AiCharacteristic.AGENCY: "Agency",
-    AiCharacteristic.DECEPTION: "Deception",
-    AiCharacteristic.INSTRUMENTAL_GOALS: "Instrumental goals",
-    AiCharacteristic.SITUATIONAL_AWARENESS: "Situational awareness",
-    AiCharacteristic.DYNAMIC_CHANGE: "Dynamic change",
-    AiCharacteristic.DISTRIBUTION_SHIFT: "Distribution shift",
-    AiCharacteristic.INSCRUTABILITY: "Inscrutability",
-    AiCharacteristic.AUTONOMY: "Autonomy",
-    AiCharacteristic.CAPABILITY_UNCERTAINTY: "Uncertainty of AI capabilities",
-    AiCharacteristic.SPEED_ASYMMETRY: "Speed asymmetry",
-    AiCharacteristic.BREADTH_DEPTH_KNOWLEDGE: "Breadth and depth of knowledge",
-    AiCharacteristic.BREADTH_DEPTH_REASONING: "Breadth and depth of reasoning",
-    AiCharacteristic.OUTPACES_REGULATION: "AI development outpaces regulation",
-    AiCharacteristic.DEPENDENCY_VALUE: "High value of AI creates dependency",
-    AiCharacteristic.HUMAN_ERROR: "Human error",
-    AiCharacteristic.ENFORCEMENT_GAP: "Lack of enforcement capabilities",
-    AiCharacteristic.IMPLEMENTATION_ISSUE: "Implementation issue",
-}
 
 
 def in_declaration_order(values: Iterable[Vocabulary]) -> list:
@@ -502,9 +456,6 @@ class ControlStructureModel:
             feedback_channels={f.id: f for f in feedback_channels},
             annotations={(a.control_action, a.uca_type): a for a in annotations},
         )
-
-    def components_of_kind(self, kind: ComponentKind) -> list[Component]:
-        return [c for _, c in sorted(self.components.items()) if c.kind is kind]
 
     @functools.cached_property
     def diagnostics(self) -> tuple[Diagnostic, ...]:

@@ -62,64 +62,45 @@ class CharacterizationRow:
     loss: str | None = None
 
 
-# (header label, row attribute) in effect-to-cause order. The
-# cause-to-effect order mirrors the walk: characteristics first, hazard
-# last. The detail column keeps its table label "Loss scenario
-# description" even though the catalog calls the same text "detail".
-_E2C_COLUMNS = (
-    ("Lifecycle phase (control loop identifier)", "lifecycle"),
-    ("Hazard", "hazard"),
-    ("Control action", "control_action"),
-    ("Loss scenario type", "scenario_type"),
-    ("Loss scenario sub-type", "sub_type"),
-    ("Causal factor type(s)", "causal_factors"),
-    ("Loss scenario description", "detail"),
-    ("Key characteristics of AI underlying causal factor(s)", "ai_characteristics"),
-)
+# Row attribute -> (header label, JSON object key). The detail column keeps
+# its table label "Loss scenario description" even though the catalog calls
+# the same text "detail".
+_COLUMNS = {
+    "lifecycle": ("Lifecycle phase (control loop identifier)", "lifecycle_phase"),
+    "hazard": ("Hazard", "hazard"),
+    "control_action": ("Control action", "control_action"),
+    "scenario_type": ("Loss scenario type", "loss_scenario_type"),
+    "sub_type": ("Loss scenario sub-type", "loss_scenario_sub_type"),
+    "causal_factors": ("Causal factor type(s)", "causal_factor_types"),
+    "detail": ("Loss scenario description", "loss_scenario_description"),
+    "ai_characteristics": (
+        "Key characteristics of AI underlying causal factor(s)",
+        "key_characteristics_of_ai",
+    ),
+    "loss": ("Loss", "loss"),
+}
 
-_C2E_COLUMNS = (
-    ("Lifecycle phase (control loop identifier)", "lifecycle"),
-    ("Key characteristics of AI underlying causal factor(s)", "ai_characteristics"),
-    ("Loss scenario description", "detail"),
-    ("Causal factor type(s)", "causal_factors"),
-    ("Loss scenario sub-type", "sub_type"),
-    ("Loss scenario type", "scenario_type"),
-    ("Control action", "control_action"),
-    ("Hazard", "hazard"),
-)
-
-_LOSS_COLUMN = ("Loss", "loss")
-
-# snake_case object keys for the JSON export, per header label
-_JSON_KEYS = {
-    "Lifecycle phase (control loop identifier)": "lifecycle_phase",
-    "Hazard": "hazard",
-    "Control action": "control_action",
-    "Loss scenario type": "loss_scenario_type",
-    "Loss scenario sub-type": "loss_scenario_sub_type",
-    "Causal factor type(s)": "causal_factor_types",
-    "Loss scenario description": "loss_scenario_description",
-    "Key characteristics of AI underlying causal factor(s)": "key_characteristics_of_ai",
-    "Loss": "loss",
+# Column order per direction. Cause-to-effect mirrors the walk:
+# characteristics first, hazard last. The loss column, shown only when
+# every row carries one, sits next to the hazard it flows from in
+# effect-to-cause, as in the worked-example table, and last in
+# cause-to-effect.
+_ORDER = {
+    TableDirection.EFFECT_TO_CAUSE: (
+        "lifecycle", "loss", "hazard", "control_action", "scenario_type", "sub_type",
+        "causal_factors", "detail", "ai_characteristics",
+    ),
+    TableDirection.CAUSE_TO_EFFECT: (
+        "lifecycle", "ai_characteristics", "detail", "causal_factors", "sub_type",
+        "scenario_type", "control_action", "hazard", "loss",
+    ),
 }
 
 
-def _columns(direction: TableDirection, with_loss: bool):
-    if direction is TableDirection.EFFECT_TO_CAUSE:
-        columns = list(_E2C_COLUMNS)
-        if with_loss:
-            # loss sits next to the hazard it flows from, as in the
-            # worked-example table
-            columns.insert(1, _LOSS_COLUMN)
-    else:
-        columns = list(_C2E_COLUMNS)
-        if with_loss:
-            columns.append(_LOSS_COLUMN)
-    return columns
-
-
-def _with_loss(rows: list[CharacterizationRow]) -> bool:
-    return bool(rows) and all(row.loss is not None for row in rows)
+def _columns(direction: TableDirection, rows: list[CharacterizationRow]) -> list[str]:
+    """The row attributes to render, in column order."""
+    with_loss = bool(rows) and all(row.loss is not None for row in rows)
+    return [attr for attr in _ORDER[direction] if with_loss or attr != "loss"]
 
 
 def _surfaces(values, separator: str) -> str:
@@ -180,12 +161,12 @@ def build_table(
 
 def render_csv(rows: list[CharacterizationRow], direction: TableDirection) -> str:
     """RFC-4180-style CSV with LF endings; header always present."""
-    columns = _columns(direction, _with_loss(rows))
+    columns = _columns(direction, rows)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
-    writer.writerow([label for label, _ in columns])
+    writer.writerow([_COLUMNS[attr][0] for attr in columns])
     for row in rows:
-        writer.writerow([getattr(row, attr) for _, attr in columns])
+        writer.writerow([getattr(row, attr) for attr in columns])
     return out.getvalue()
 
 
@@ -206,13 +187,13 @@ def unescape_cell(text: str) -> str:
 
 def render_markdown(rows: list[CharacterizationRow], direction: TableDirection) -> str:
     """GitHub pipe table, same column order as the CSV."""
-    columns = _columns(direction, _with_loss(rows))
+    columns = _columns(direction, rows)
     lines = [
-        "| " + " | ".join(escape_cell(label) for label, _ in columns) + " |",
+        "| " + " | ".join(escape_cell(_COLUMNS[attr][0]) for attr in columns) + " |",
         "| " + " | ".join("---" for _ in columns) + " |",
     ]
     for row in rows:
-        cells = (escape_cell(getattr(row, attr)) for _, attr in columns)
+        cells = (escape_cell(getattr(row, attr)) for attr in columns)
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
 
@@ -223,14 +204,11 @@ def render_json(
     model: ControlStructureModel,
 ) -> str:
     """JSON export: {model_fingerprint, direction, rows}, keys in column order."""
-    columns = _columns(direction, _with_loss(rows))
+    keys = [(_COLUMNS[attr][1], attr) for attr in _columns(direction, rows)]
     payload = {
         "model_fingerprint": model_fingerprint(model),
         "direction": direction.token,
-        "rows": [
-            {_JSON_KEYS[label]: getattr(row, attr) for label, attr in columns}
-            for row in rows
-        ],
+        "rows": [{key: getattr(row, attr) for key, attr in keys} for row in rows],
     }
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 

@@ -381,18 +381,29 @@ def test_prompts_env_override_missing_file_is_io_error(tmp_path, monkeypatch):
 # --- report -------------------------------------------------------------------
 
 
-def test_report_effect_to_cause_matches_golden():
-    code, out, err = run_cli(["report", str(MODEL_PATH), str(SCENARIOS_PATH)])
+# (golden file name ending, extra report arguments): each output format,
+# with and without the loss column
+GOLDEN_VARIANTS = [
+    pytest.param(f"{loss}.{fmt}", ["--format", fmt, *extra], id=fmt + loss.replace("_", "-"))
+    for loss, extra in (("", []), ("_loss", ["--include-loss"]))
+    for fmt in ("csv", "md", "json")
+]
+
+
+@pytest.mark.parametrize("ending, extra", GOLDEN_VARIANTS)
+def test_report_effect_to_cause_matches_golden(ending, extra):
+    code, out, err = run_cli(["report", str(MODEL_PATH), str(SCENARIOS_PATH), *extra])
     assert (code, err) == (0, "")
-    assert out == (GOLDEN_DIR / "effect_to_cause.csv").read_text(encoding="utf-8")
+    assert out == (GOLDEN_DIR / f"effect_to_cause{ending}").read_text(encoding="utf-8")
 
 
-def test_report_cause_to_effect_matches_golden():
+@pytest.mark.parametrize("ending, extra", GOLDEN_VARIANTS)
+def test_report_cause_to_effect_matches_golden(ending, extra):
     code, out, err = run_cli(
-        ["report", str(MODEL_PATH), str(SCENARIOS_PATH), "--direction", "cause-to-effect"]
+        ["report", str(MODEL_PATH), str(SCENARIOS_PATH), "--direction", "cause-to-effect", *extra]
     )
     assert (code, err) == (0, "")
-    assert out == (GOLDEN_DIR / "cause_to_effect.csv").read_text(encoding="utf-8")
+    assert out == (GOLDEN_DIR / f"cause_to_effect{ending}").read_text(encoding="utf-8")
 
 
 def test_report_markdown_shape():
@@ -489,6 +500,26 @@ def test_report_dangling_uca_reference_exits_invalid(tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith("stpa-loc: error:")
+
+
+def test_report_accepts_every_uca_id_that_ucas_prints(tmp_path):
+    # a 64-character action id, the longest a model allows, makes UCA ids
+    # of up to 87 characters
+    action = "CA-" + "x" * 61
+    model = write(tmp_path, "m.stpa", TINY_MODEL.replace("CA-1", action))
+    code, out, _ = run_cli(["ucas", model])
+    assert code == 0
+    uca_ids = [row[0] for row in csv_rows(out)[1:]]
+    assert max(map(len, uca_ids)) == 87
+    scenarios = "".join(
+        f"scenario S-{i} {{ origin: C uca: {uca} type: type_a sub_types: not_provided "
+        f'factors: delay description: "d" }}\n'
+        for i, uca in enumerate(uca_ids)
+    )
+    scenario_file = write(tmp_path, "s.stpa", f"scenarios {{\n{scenarios}}}\n")
+    code, out, err = run_cli(["report", model, scenario_file])
+    assert (code, err) == (0, "")
+    assert len(csv_rows(out)) == 1 + len(uca_ids)
 
 
 def test_report_missing_scenarios_file_is_io_error(tmp_path):

@@ -313,6 +313,7 @@ def test_parse_diagnostic_positions():
 # (rule code, message, line, column, length), in order.
 
 SCENARIO_BODY = 'origin: P type: type_b sub_types: not_executed factors: delay description: "d"'
+LONG_UCA = "CA-" + "x" * 61 + "-provided_causes_hazard"
 
 PARSER_CASES = [
     pytest.param(
@@ -432,6 +433,25 @@ PARSER_CASES = [
         f" {SCENARIO_BODY.replace('origin: P', 'origin: Nobody')} }}\n}}",
         [("DanglingComponentRef", "scenario S-1 origin Nobody is not a model component", 2, 12, 3)],
         id="dangling-component-ref",
+    ),
+    # a uca: value may be as long as the UCA ids of a 64-character action
+    pytest.param(
+        "scenarios",
+        f"scenarios {{\n  scenario S-1 {{ uca: {LONG_UCA} {SCENARIO_BODY} }}\n}}",
+        [],
+        id="uca-id-of-87-characters",
+    ),
+    pytest.param(
+        "scenarios",
+        f"scenarios {{\n  scenario S-1 {{ uca: {LONG_UCA}x {SCENARIO_BODY} }}\n}}",
+        [("BadIdentifier", f"identifier {LONG_UCA[:16]}... exceeds 87 characters", 2, 23, 88)],
+        id="uca-id-over-87-characters",
+    ),
+    pytest.param(
+        "scenarios",
+        f"scenarios {{\n  scenario {'S' * 65} {{ {SCENARIO_BODY} }}\n}}",
+        [("BadIdentifier", f"identifier {'S' * 16}... exceeds 64 characters", 2, 12, 65)],
+        id="scenario-id-over-64-characters",
     ),
 ]
 

@@ -1,0 +1,105 @@
+"""Growth checks that count executed bytecodes instead of timing.
+
+Each check runs a stage at n = 50 and n = 200 under ``sys.settrace`` with
+opcode events on and compares the counts. A linear stage reads about 4, a
+quadratic one about 16. The counts are deterministic after one warm-up
+call, so unlike the timing checks in ``test_complexity.py`` these run in
+the default suite. Work done in C, such as a set difference over dict
+keys, does not show up here; the timing checks still cover it.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+from stpa_loc.analysis import trace_pathway
+from stpa_loc.dsl import serialize_model
+from stpa_loc.report import TableDirection, build_table, render_csv, render_json, render_markdown
+
+from test_complexity import synthetic
+
+SMALL, LARGE = 50, 200
+BOUND = 4.5
+
+
+def executed_opcodes(run) -> int:
+    """The number of bytecodes ``run()`` executes, callees included."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        else:
+            frame.f_trace_lines = False
+            frame.f_trace_opcodes = True
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def opcode_growth(make_run) -> float:
+    """opcodes(LARGE) / opcodes(SMALL), each counted after one warm-up call.
+
+    The warm-up runs traced too: it fills caches, and on Python 3.12 and
+    later a code object's first traced call can report fewer opcodes.
+    """
+    counts = {}
+    for n in (SMALL, LARGE):
+        run = make_run(n)
+        executed_opcodes(run)
+        counts[n] = executed_opcodes(run)
+    return counts[LARGE] / counts[SMALL]
+
+
+def table_run(n):
+    model, scenarios = synthetic(n)
+    return lambda: build_table(scenarios, model, TableDirection.EFFECT_TO_CAUSE, include_loss=True)
+
+
+def pathway_run(n):
+    model, scenarios = synthetic(n)
+    return lambda: [trace_pathway(scenario, model) for scenario in scenarios]
+
+
+def renderer_run(render):
+    def make_run(n):
+        model, scenarios = synthetic(n)
+        rows = build_table(scenarios, model, TableDirection.CAUSE_TO_EFFECT, include_loss=True)
+        return lambda: render(rows, TableDirection.CAUSE_TO_EFFECT)
+
+    return make_run
+
+
+def json_run(n):
+    model, scenarios = synthetic(n)
+    rows = build_table(scenarios, model, TableDirection.CAUSE_TO_EFFECT, include_loss=True)
+    return lambda: render_json(rows, TableDirection.CAUSE_TO_EFFECT, model)
+
+
+def serialize_run(n):
+    model = synthetic(n)[0]
+    return lambda: serialize_model(model)
+
+
+@pytest.mark.parametrize(
+    "make_run",
+    [
+        pytest.param(table_run, id="build_table"),
+        pytest.param(pathway_run, id="trace_pathway"),
+        pytest.param(renderer_run(render_csv), id="render_csv"),
+        pytest.param(renderer_run(render_markdown), id="render_markdown"),
+        pytest.param(json_run, id="render_json"),
+        pytest.param(serialize_run, id="serialize_model"),
+    ],
+)
+def test_executed_bytecodes_grow_linearly(make_run):
+    assert opcode_growth(make_run) < BOUND

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings
 
+from stpa_loc.analysis import StageKind
 from stpa_loc.model import (
     AgentNature,
     AiCharacteristic,
@@ -19,16 +20,20 @@ from stpa_loc.model import (
     InvalidModel,
     LifecyclePhase,
     Loss,
+    LedgerSource,
     LossScenario,
+    RecordSeverity,
     SUBTYPES_FOR_TYPE,
     SafetyConstraint,
     ScenarioSubType,
     ScenarioType,
     Severity,
     SourceSpan,
+    TableDirection,
     UcaAnnotation,
     UcaType,
     UnsafeControlAction,
+    Vocabulary,
     format_diagnostic,
     has_errors,
     in_declaration_order,
@@ -38,7 +43,9 @@ from stpa_loc.model import (
 
 from strategies import models
 
-ALL_VOCABULARIES = [
+# the vocabularies that tables and pathway diagrams render: every member
+# declares a surface form
+SURFACED = [
     LifecyclePhase,
     ComponentKind,
     AgentNature,
@@ -47,25 +54,31 @@ ALL_VOCABULARIES = [
     ScenarioSubType,
     CausalFactorType,
     AiCharacteristic,
-    Severity,
+    StageKind,
 ]
+
+# the others declare tokens only
+ALL_VOCABULARIES = [*SURFACED, Severity, TableDirection, RecordSeverity, LedgerSource]
 
 
 # --- vocabularies ---------------------------------------------------------
 
 
 def test_tokens_round_trip():
+    assert set(ALL_VOCABULARIES) == set(Vocabulary.__subclasses__())
     for cls in ALL_VOCABULARIES:
         for member in cls:
             assert cls(member.token) is member
+            assert member.value == member.token
 
 
 def test_every_member_has_a_surface_form():
     for cls in ALL_VOCABULARIES:
-        if cls is Severity:
-            continue
         for member in cls:
-            assert member.surface.strip()
+            if cls in SURFACED:
+                assert member.surface.strip()
+            else:
+                assert member.surface == ""
 
 
 def test_key_surface_forms():
