@@ -40,9 +40,9 @@ _HOME = {
             "filter_entries", "generate_prompts", "load_catalog",
         ),
         "analysis": (
-            "Ledger", "Pathway", "PathwayStage", "StageKind", "VulnerabilityRecord",
-            "classify_scenario", "derive_constraints", "enumerate_ucas", "ledger_exposure",
-            "ledger_load", "ledger_register", "ledger_resolve", "ledger_save",
+            "Ledger", "LedgerFormatError", "Pathway", "PathwayStage", "StageKind",
+            "VulnerabilityRecord", "classify_scenario", "derive_constraints", "enumerate_ucas",
+            "ledger_exposure", "ledger_load", "ledger_register", "ledger_resolve", "ledger_save",
             "match_catalog", "trace_pathway",
         ),
         "report": (

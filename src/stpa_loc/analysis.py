@@ -85,6 +85,18 @@ class AnalysisError(Exception):
     """Base class for analysis-layer failures."""
 
 
+class LedgerFormatError(ValueError):
+    """Raised when a ledger file is malformed.
+
+    ``line`` is the 1-based line number in the ledger file. The message is
+    the underlying parse or field error, unchanged.
+    """
+
+    def __init__(self, message: str, line: int):
+        self.line = line
+        super().__init__(message)
+
+
 class UnknownComponentKind(AnalysisError):
     """Component kind has no place in the classification map."""
 
@@ -577,17 +589,24 @@ def ledger_load(path: str | Path, model: ControlStructureModel) -> Ledger:
     Every stored record passes :func:`ledger_register`'s checks in one
     pass, so a record naming a component the current model no longer
     has fails with :class:`UnknownComponent`, a repeated id with
-    :class:`DuplicateId`.
+    :class:`DuplicateId`. A line that is not UTF-8, not JSON, nested too
+    deeply or not a well-formed record raises :class:`LedgerFormatError`.
     """
     ledger = Ledger.for_model(model)
     records: dict[str, VulnerabilityRecord] = {}
-    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise LedgerFormatError(str(exc), Path(path).read_bytes().count(b"\n", 0, exc.start) + 1) from exc
+    for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
             record = _record_from_json(json.loads(line))
         except RecursionError:
-            raise ValueError(f"line {number}: JSON nested too deeply") from None
+            raise LedgerFormatError(f"line {number}: JSON nested too deeply", number) from None
+        except (ValueError, KeyError) as exc:
+            raise LedgerFormatError(str(exc), number) from exc
         _check_admissible(record, records, ledger)
         records[record.id] = record
     return replace(ledger, records=tuple(records.values()))

@@ -211,7 +211,7 @@ def cmd_ledger(args: argparse.Namespace) -> int:
             ledger = analysis.Ledger.for_model(model)
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
-    except (ValueError, KeyError) as exc:
+    except analysis.LedgerFormatError as exc:
         return _fail(f"bad ledger file: {exc}", EXIT_IO)
     except analysis.AnalysisError as exc:
         return _fail(str(exc), EXIT_INVALID)

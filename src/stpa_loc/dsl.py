@@ -21,8 +21,17 @@ shorthand for `kind: ai`. A missing `lifecycle` item defaults to
 operations. Display names are not part of the grammar: a component's name
 is its id.
 
-The lexer is one `re.finditer` pass over a master pattern, `_LEXEME`.
-Tokens carry their positions; a `SourceSpan` is built only for a diagnostic.
+Parsing starts with a fast prefix. After a well-formed `system "..." {` or
+`scenarios ... {` header, one pattern match takes each well-formed one-line
+model item, or each `scenario` block with its fields in grammar order, and
+its record is built from the groups. The patterns take only text that the
+token path lexes without a diagnostic and parses into whole items, and no
+model line that the next significant line extends (`,`, `{`, `via`,
+`enforced_by` or `hazards`). At the first other line the token path takes
+over for good, at item level: one `re.finditer` pass over a master pattern,
+`_LEXEME`, then recursive descent. Tokens carry their positions; a
+`SourceSpan` is built only for a diagnostic. Either way every lexer
+diagnostic comes first, then the parser's in source order.
 
 Loss scenarios live in a companion file with the same lexical rules:
 
@@ -53,6 +62,7 @@ Diagnostic rule codes:
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import NamedTuple
 
@@ -99,6 +109,27 @@ _AGENT_WORDS = {
 }
 
 _WORD_FOR_AGENT = {nature: word for word, nature in _AGENT_WORDS.items()}
+
+# The model collection that holds each category of declared id.
+_COLLECTIONS = {
+    "component": "components",
+    "loss": "losses",
+    "hazard": "hazards",
+    "constraint": "constraints",
+    "control action": "control_actions",
+    "feedback channel": "feedback_channels",
+}
+
+# Component attrs that set the agent nature: their words, what the parser
+# expects after the colon, and its complaint about any other word.
+_NATURE_ATTRS = {
+    "kind": (_AGENT_WORDS, "an agent nature word", "unknown agent nature {!r} (expected human, automated or ai)"),
+    "contains_ai": (
+        {"true": AgentNature.AI_CONTAINING, "false": AgentNature.AUTOMATED},
+        "true or false",
+        "expected true or false, found {!r}",
+    ),
+}
 
 _ITEM_KEYWORDS = frozenset(_COMPONENT_KEYWORDS) | {
     "lifecycle",
@@ -159,15 +190,19 @@ class Token(NamedTuple):
         return SourceSpan(self.file, self.line, self.column, self.length)
 
 
+def _unescape(text: str) -> str:
+    return _ESCAPE.sub(lambda escape: escape.group(1) or "\\", text) if "\\" in text else text
+
+
 def _lex(
-    source: str, file: str, uca_limit: int = MAX_IDENTIFIER_LENGTH
+    source: str, file: str, uca_limit: int = MAX_IDENTIFIER_LENGTH, pos: int = 0, line: int = 1
 ) -> tuple[list[Token], list[Diagnostic]]:
+    """Tokens and lexer diagnostics of ``source`` from ``pos``, a line start."""
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
-    line = 1
-    line_start = 0
+    line_start = pos
     m = None
-    for m in _LEXEME.finditer(source):
+    for m in _LEXEME.finditer(source, pos):
         kind = m.lastgroup
         start = m.start()
         col = start - line_start + 1
@@ -201,7 +236,7 @@ def _lex(
                         message = f"unsupported escape sequence \\{source[at + 1:at + 2]}"
                         span = SourceSpan(file, line, at - line_start + 1, 2)
                         diags.append(Diagnostic(Severity.ERROR, "BadEscape", message, span))
-                text = _ESCAPE.sub(lambda escape: escape.group(1) or "\\", text)
+                text = _unescape(text)
             tok = Token(STRING, text, file, line, col, m.end(kind) - start)
             if not m.group("CLOSE"):
                 message = "string not closed before end of line"
@@ -216,6 +251,67 @@ def _lex(
     return tokens, diags
 
 
+@functools.cache
+def _fast_patterns(kind: str) -> tuple[re.Pattern[str], re.Pattern[str]]:
+    """The fast prefix's header and item patterns for a "model" or a
+    "scenarios" file, compiled on the first parse of one, not at import."""
+    end = r"(?![A-Za-z0-9_-])"
+    ident, uca_id = (rf"[A-Za-z][A-Za-z0-9_-]{{0,{n - 1}}}{end}" for n in (MAX_IDENTIFIER_LENGTH, _UCA_ID_LIMIT))
+    rest = r"[ ]*(?:#[^\n]*)?\n"
+
+    def string(name: str) -> str:
+        return rf'"(?P<{name}>[^"\\\n]*(?:\\["\\][^"\\\n]*)*)"'
+
+    def words(cls) -> str:
+        return f"(?:{'|'.join(cls.tokens())}){end}"
+
+    def listing(item: str) -> str:
+        return rf"{item}(?:[ ]*,[ ]*{item})*"
+
+    def field(name: str, value: str) -> str:
+        return rf"[ \n]*{name}[ ]*:[ ]*(?P<{name}>{value})"
+
+    ids = listing(ident)
+    model_line = (
+        rf"(?P<lifecycle>lifecycle[ ]*:[ ]*(?P<phase>{words(LifecyclePhase)}))"
+        rf"|(?P<component>(?P<keyword>{'|'.join(_COMPONENT_KEYWORDS)})[ ]+(?P<component_id>{ident})"
+        rf"(?:[ ]*\{{[ ]*(?:(?:kind[ ]*:[ ]*(?P<kind>{'|'.join(_AGENT_WORDS)})"
+        rf"|contains_ai[ ]*:[ ]*(?P<ai>true|false)){end}[ ]*)?(?:notes[ ]*:[ ]*{string('component_text')}[ ]*)?\}})?)"
+        rf"|(?P<loss>loss[ ]+(?P<loss_id>{ident})[ ]*{string('loss_text')})"
+        rf"|(?P<hazard>hazard[ ]+(?P<hazard_id>{ident})[ ]*{string('hazard_text')}"
+        rf"[ ]*leads_to[ ]+(?P<leads_to>{ids}))"
+        rf"|(?P<constraint>constraint[ ]+(?P<constraint_id>{ident})[ ]*{string('constraint_text')}"
+        rf"[ ]*mitigates[ ]+(?P<mitigates>{ids})(?:[ ]+enforced_by[ ]+(?P<enforced_by>{ids}))?)"
+        rf"|(?P<channel>(?P<channel_kind>control_action|feedback)[ ]+(?P<channel_id>{ident})"
+        rf"[ ]*{string('channel_text')}[ ]*from[ ]+(?P<source>{ident})[ ]+to[ ]+(?P<target>{ident})"
+        rf"(?:[ ]+via[ ]+(?P<via>{ident}))?)"
+        rf"|(?P<annotate>annotate[ ]+(?P<annotate_id>{ident})[ ]+(?P<uca_type>{words(UcaType)})[ ]+context[ ]*"
+        rf"{string('annotate_text')}(?:[ ]*hazards[ ]+(?P<hazards>{ids}))?)"
+    )
+    scenario = (
+        rf"(?P<scenario>scenario[ ]+(?P<id>{ident})[ ]*\{{{field('origin', ident)}(?:{field('uca', uca_id)})?"
+        rf"{field('type', words(ScenarioType))}{field('sub_types', listing(words(ScenarioSubType)))}"
+        rf"{field('factors', listing(words(CausalFactorType)))}"
+        rf"(?:{field('characteristics', listing(words(AiCharacteristic)))})?(?:{field('catalog', ids)})?"
+        rf"[ \n]*description[ ]*:[ ]*{string('description')}[ \n]*\}})"
+    )
+    # a model line is taken only if the next significant line does not extend it
+    item_ends = rf"(?:{rest})*[ ]*(?:}}|(?:#[^\n]*)?\Z|(?!(?:via|enforced_by|hazards){end})[A-Za-z])"
+    if kind == "model":
+        header, item = rf"system[ ]*{string('name')}", rf"[ ]*(?:{model_line}|){rest}(?={item_ends})"
+    else:
+        header, item = rf"scenarios[ ]*(?:{string('title')})?", rf"[ ]*(?:{scenario})?{rest}"
+    return re.compile(rf"(?:{rest})*[ ]*{header}[ ]*\{{{rest}"), re.compile(item)
+
+
+def _split(ids: str | None) -> list[str]:
+    return ids.replace(" ", "").split(",") if ids else []
+
+
+def _group_token(m: re.Match[str], group: str, file: str, line: int, line_start: int) -> Token:
+    return Token(IDENT, m[group], file, line, m.start(group) - line_start + 1, m.end(group) - m.start(group))
+
+
 # --------------------------------------------------------------------------
 # Parser
 # --------------------------------------------------------------------------
@@ -226,6 +322,20 @@ class _Parser:
         self.tokens = tokens
         self.diags = diags
         self.pos = 0
+
+    def run(self, source: str, file: str, header: re.Pattern[str], item: re.Pattern[str], uca_limit: int):
+        """Parse ``source``: records straight from the matches of the header and
+        of each item after it, then the token path from where they stop."""
+        m, pos, line = header.match(source), 0, 1
+        while m is not None:
+            if m.lastgroup is not None:
+                self.fast_item(m, file, line, pos)
+            line += source.count("\n", pos, m.end())
+            pos = m.end()
+            m = item.match(source, pos)
+        self.tokens, diags = _lex(source, file, uca_limit, pos, line)
+        self.diags[:0] = diags  # every lexer diagnostic comes first
+        return self.parse(in_body=pos > 0)
 
     # -- token plumbing ----------------------------------------------------
 
@@ -264,27 +374,21 @@ class _Parser:
 
     def ident_list(self) -> list[str]:
         items: list[str] = []
-        first = self.expect(IDENT, "an identifier")
-        if first is None:
-            return items
-        items.append(first.text)
-        while self.peek().kind == COMMA:
-            self.advance()
-            nxt = self.expect(IDENT, "an identifier")
-            if nxt is None:
+        tok = self.expect(IDENT, "an identifier")
+        while tok is not None:
+            items.append(tok.text)
+            if self.peek().kind != COMMA:
                 break
-            items.append(nxt.text)
+            self.advance()
+            tok = self.expect(IDENT, "an identifier")
         return items
 
     def sync_to(self, keywords: frozenset[str]) -> None:
         """Skip ahead to the next plausible declaration start."""
-        while True:
-            tok = self.peek()
-            if tok.kind in (RBRACE, EOF):
-                return
-            if tok.kind == IDENT and tok.text in keywords:
-                return
+        tok = self.peek()
+        while tok.kind not in (RBRACE, EOF) and not (tok.kind == IDENT and tok.text in keywords):
             self.advance()
+            tok = self.peek()
 
     # -- vocabulary helpers --------------------------------------------------
 
@@ -300,18 +404,11 @@ class _Parser:
             return None
 
     def enum_token_list(self, cls, what: str) -> list | None:
-        values = []
-        value = self.enum_token(cls, what)
-        if value is None:
-            return None
-        values.append(value)
-        while self.peek().kind == COMMA:
+        values = [self.enum_token(cls, what)]
+        while values[-1] is not None and self.peek().kind == COMMA:
             self.advance()
-            value = self.enum_token(cls, what)
-            if value is None:
-                return None
-            values.append(value)
-        return values
+            values.append(self.enum_token(cls, what))
+        return None if values[-1] is None else values
 
 
 class _ModelParser(_Parser):
@@ -319,49 +416,64 @@ class _ModelParser(_Parser):
         super().__init__(tokens, diags)
         self.name = ""
         self.lifecycle = LifecyclePhase.OPERATIONS
-        self.components: dict[str, Component] = {}
-        self.losses: dict[str, Loss] = {}
-        self.hazards: dict[str, Hazard] = {}
-        self.constraints: dict[str, SafetyConstraint] = {}
-        self.control_actions: dict[str, ControlAction] = {}
-        self.feedback_channels: dict[str, FeedbackChannel] = {}
-        self.annotations: dict[tuple[str, UcaType], UcaAnnotation] = {}
+        self.collections: dict[str, dict] = {name: {} for name in (*_COLLECTIONS.values(), "annotations")}
         self.namespace: dict[str, str] = {}
 
-    def claim_id(self, tok: Token, category: str) -> bool:
+    def claim_id(self, tok: Token, category: str, record: object) -> None:
         if tok.text in self.namespace:
-            self.error(
-                "DuplicateId",
-                f"id {tok.text} already declared as a {self.namespace[tok.text]}",
-                tok,
-            )
-            return False
+            self.error("DuplicateId", f"id {tok.text} already declared as a {self.namespace[tok.text]}", tok)
+            return
         self.namespace[tok.text] = category
-        return True
+        self.collections[_COLLECTIONS[category]][tok.text] = record
 
-    def parse(self) -> ControlStructureModel:
-        if self.expect_keyword("system"):
-            name_tok = self.expect(STRING, "the system name string")
-            if name_tok is not None:
-                self.name = name_tok.text
-            self.expect(LBRACE, "'{'")
-            while True:
-                tok = self.peek()
-                if tok.kind in (RBRACE, EOF):
-                    break
+    def annotate(self, ca_tok: Token, uca_type: UcaType, context: str, hazards: list[str]) -> None:
+        key = (ca_tok.text, uca_type)
+        annotations = self.collections["annotations"]
+        if key in annotations:
+            message = f"control action {ca_tok.text} already annotated for {uca_type.token}"
+            self.error("DuplicateAnnotation", message, ca_tok)
+            return
+        annotations[key] = UcaAnnotation(
+            control_action=ca_tok.text, uca_type=uca_type, context=context, hazards=frozenset(hazards)
+        )
+
+    def fast_item(self, m: re.Match[str], file: str, line: int, line_start: int) -> None:
+        kind = m.lastgroup
+        if kind == "name":
+            self.name = _unescape(m["name"])
+        elif kind == "lifecycle":
+            self.lifecycle = LifecyclePhase(m["phase"])
+        else:
+            # a declaration's id group is <kind>_id and its string <kind>_text
+            tok = _group_token(m, f"{kind}_id", file, line, line_start)
+            text = _unescape(m[f"{kind}_text"] or "")
+            if kind == "component":
+                nature = AgentNature.AI_CONTAINING if m["ai"] == "true" else _AGENT_WORDS[m["kind"] or "automated"]
+                record = Component(tok.text, tok.text, _COMPONENT_KEYWORDS[m["keyword"]], nature, text)
+                self.claim_id(tok, kind, record)
+            elif kind == "loss":
+                self.claim_id(tok, kind, Loss(tok.text, text))
+            elif kind == "hazard":
+                self.claim_id(tok, kind, Hazard(tok.text, text, frozenset(_split(m["leads_to"]))))
+            elif kind == "constraint":
+                mitigates, enforced_by = frozenset(_split(m["mitigates"])), frozenset(_split(m["enforced_by"]))
+                self.claim_id(tok, kind, SafetyConstraint(tok.text, text, mitigates, enforced_by))
+            elif kind == "channel":
+                self.channel(tok, m["channel_kind"] == "control_action", text, m["source"], m["target"], m["via"])
+            else:
+                self.annotate(tok, UcaType(m["uca_type"]), text, _split(m["hazards"]))
+
+    def parse(self, in_body: bool = False) -> ControlStructureModel:
+        if in_body or self.expect_keyword("system"):
+            if not in_body:
+                name_tok = self.expect(STRING, "the system name string")
+                if name_tok is not None:
+                    self.name = name_tok.text
+                self.expect(LBRACE, "'{'")
+            while self.peek().kind not in (RBRACE, EOF):
                 self.item()
             self.expect(RBRACE, "'}'")
-        return ControlStructureModel(
-            name=self.name,
-            lifecycle=self.lifecycle,
-            components=self.components,
-            losses=self.losses,
-            hazards=self.hazards,
-            constraints=self.constraints,
-            control_actions=self.control_actions,
-            feedback_channels=self.feedback_channels,
-            annotations=self.annotations,
-        )
+        return ControlStructureModel(name=self.name, lifecycle=self.lifecycle, **self.collections)
 
     def item(self) -> None:
         tok = self.peek()
@@ -411,30 +523,13 @@ class _ModelParser(_Parser):
                 if attr_tok is None:
                     break
                 self.expect(COLON, "':'")
-                if attr_tok.text == "kind":
-                    word_tok = self.expect(IDENT, "an agent nature word")
-                    if word_tok is not None:
-                        if word_tok.text in _AGENT_WORDS:
-                            nature = _AGENT_WORDS[word_tok.text]
-                        else:
-                            self.error(
-                                "UnknownEnumToken",
-                                f"unknown agent nature {word_tok.text!r} (expected human, automated or ai)",
-                                word_tok,
-                            )
-                elif attr_tok.text == "contains_ai":
-                    word_tok = self.expect(IDENT, "true or false")
-                    if word_tok is not None:
-                        if word_tok.text == "true":
-                            nature = AgentNature.AI_CONTAINING
-                        elif word_tok.text == "false":
-                            nature = AgentNature.AUTOMATED
-                        else:
-                            self.error(
-                                "UnknownEnumToken",
-                                f"expected true or false, found {word_tok.text!r}",
-                                word_tok,
-                            )
+                if attr_tok.text in _NATURE_ATTRS:
+                    words, what, complaint = _NATURE_ATTRS[attr_tok.text]
+                    word_tok = self.expect(IDENT, what)
+                    if word_tok is not None and word_tok.text in words:
+                        nature = words[word_tok.text]
+                    elif word_tok is not None:
+                        self.error("UnknownEnumToken", complaint.format(word_tok.text), word_tok)
                 elif attr_tok.text == "notes":
                     note_tok = self.expect(STRING, "a notes string")
                     if note_tok is not None:
@@ -444,10 +539,8 @@ class _ModelParser(_Parser):
                     if self.peek().kind in (IDENT, STRING):
                         self.advance()
             self.expect(RBRACE, "'}'")
-        if self.claim_id(id_tok, "component"):
-            self.components[id_tok.text] = Component(
-                id=id_tok.text, name=id_tok.text, kind=kind, agent_nature=nature, notes=notes
-            )
+        component = Component(id=id_tok.text, name=id_tok.text, kind=kind, agent_nature=nature, notes=notes)
+        self.claim_id(id_tok, "component", component)
 
     def loss_item(self) -> None:
         self.advance()
@@ -456,8 +549,7 @@ class _ModelParser(_Parser):
         if id_tok is None or text_tok is None:
             self.sync_to(_ITEM_KEYWORDS)
             return
-        if self.claim_id(id_tok, "loss"):
-            self.losses[id_tok.text] = Loss(id=id_tok.text, description=text_tok.text)
+        self.claim_id(id_tok, "loss", Loss(id=id_tok.text, description=text_tok.text))
 
     def hazard_item(self) -> None:
         self.advance()
@@ -467,10 +559,8 @@ class _ModelParser(_Parser):
             self.sync_to(_ITEM_KEYWORDS)
             return
         losses = self.ident_list()
-        if self.claim_id(id_tok, "hazard"):
-            self.hazards[id_tok.text] = Hazard(
-                id=id_tok.text, description=text_tok.text, leads_to=frozenset(losses)
-            )
+        hazard = Hazard(id=id_tok.text, description=text_tok.text, leads_to=frozenset(losses))
+        self.claim_id(id_tok, "hazard", hazard)
 
     def constraint_item(self) -> None:
         self.advance()
@@ -484,13 +574,14 @@ class _ModelParser(_Parser):
         if self.at_keyword("enforced_by"):
             self.advance()
             enforced_by = self.ident_list()
-        if self.claim_id(id_tok, "constraint"):
-            self.constraints[id_tok.text] = SafetyConstraint(
-                id=id_tok.text,
-                text=text_tok.text,
-                mitigates=frozenset(mitigates),
-                enforced_by=frozenset(enforced_by),
-            )
+        constraint = SafetyConstraint(
+            id=id_tok.text, text=text_tok.text, mitigates=frozenset(mitigates), enforced_by=frozenset(enforced_by)
+        )
+        self.claim_id(id_tok, "constraint", constraint)
+
+    def channel(self, tok: Token, control: bool, label: str, source: str, target: str, via: str | None) -> None:
+        what, cls = ("control action", ControlAction) if control else ("feedback channel", FeedbackChannel)
+        self.claim_id(tok, what, cls(id=tok.text, label=label, source=source, target=target, via=via))
 
     def channel_item(self, control: bool) -> None:
         what = "control action" if control else "feedback channel"
@@ -514,16 +605,7 @@ class _ModelParser(_Parser):
             via_tok = self.expect(IDENT, "the via component id")
             if via_tok is not None:
                 via = via_tok.text
-        if not self.claim_id(id_tok, what):
-            return
-        if control:
-            self.control_actions[id_tok.text] = ControlAction(
-                id=id_tok.text, label=label_tok.text, source=source_tok.text, target=target_tok.text, via=via
-            )
-        else:
-            self.feedback_channels[id_tok.text] = FeedbackChannel(
-                id=id_tok.text, label=label_tok.text, source=source_tok.text, target=target_tok.text, via=via
-            )
+        self.channel(id_tok, control, label_tok.text, source_tok.text, target_tok.text, via)
 
     def annotate_item(self) -> None:
         self.advance()
@@ -543,17 +625,7 @@ class _ModelParser(_Parser):
         if self.at_keyword("hazards"):
             self.advance()
             hazards = self.ident_list()
-        key = (ca_tok.text, uca_type)
-        if key in self.annotations:
-            self.error(
-                "DuplicateAnnotation",
-                f"control action {ca_tok.text} already annotated for {uca_type.token}",
-                ca_tok,
-            )
-            return
-        self.annotations[key] = UcaAnnotation(
-            control_action=ca_tok.text, uca_type=uca_type, context=context_tok.text, hazards=frozenset(hazards)
-        )
+        self.annotate(ca_tok, uca_type, context_tok.text, hazards)
 
 
 def parse_model(source_text: str, file: str = "<stpa>") -> tuple[ControlStructureModel, list[Diagnostic]]:
@@ -564,10 +636,8 @@ def parse_model(source_text: str, file: str = "<stpa>") -> tuple[ControlStructur
     is validate_model's job, so a hazard may mention a loss that was never
     declared without upsetting the parser.
     """
-    tokens, diags = _lex(source_text, file)
-    parser = _ModelParser(tokens, diags)
-    model = parser.parse()
-    return model, diags
+    parser = _ModelParser([], [])
+    return parser.run(source_text, file, *_fast_patterns("model"), MAX_IDENTIFIER_LENGTH), parser.diags
 
 
 # --------------------------------------------------------------------------
@@ -614,16 +684,12 @@ def serialize_model(model: ControlStructureModel) -> str:
         if constraint.enforced_by:
             line += f" enforced_by {_id_list(constraint.enforced_by)}"
         lines.append(line)
-    for _, action in sorted(model.control_actions.items()):
-        line = f"  control_action {action.id} {_quote(action.label)} from {action.source} to {action.target}"
-        if action.via is not None:
-            line += f" via {action.via}"
-        lines.append(line)
-    for _, channel in sorted(model.feedback_channels.items()):
-        line = f"  feedback {channel.id} {_quote(channel.label)} from {channel.source} to {channel.target}"
-        if channel.via is not None:
-            line += f" via {channel.via}"
-        lines.append(line)
+    for keyword, channels in (("control_action", model.control_actions), ("feedback", model.feedback_channels)):
+        for _, channel in sorted(channels.items()):
+            line = f"  {keyword} {channel.id} {_quote(channel.label)} from {channel.source} to {channel.target}"
+            if channel.via is not None:
+                line += f" via {channel.via}"
+            lines.append(line)
     for key in sorted(model.annotations, key=lambda k: (k[0], k[1].rank)):
         annotation = model.annotations[key]
         line = (
@@ -654,12 +720,27 @@ class _ScenarioParser(_Parser):
         self.scenarios: list[LossScenario] = []
         self.seen_ids: set[str] = set()
 
-    def parse(self) -> list[LossScenario]:
-        if not self.expect_keyword("scenarios"):
+    def fast_item(self, m: re.Match[str], file: str, line: int, line_start: int) -> None:
+        if m.lastgroup == "scenario":
+            fields = {
+                "origin": m["origin"],
+                "uca": m["uca"],
+                "type": ScenarioType(m["type"]),
+                "sub_types": [ScenarioSubType(word) for word in _split(m["sub_types"])],
+                "factors": [CausalFactorType(word) for word in _split(m["factors"])],
+                "characteristics": [AiCharacteristic(word) for word in _split(m["characteristics"])],
+                "catalog": _split(m["catalog"]),
+                "description": _unescape(m["description"]),
+            }
+            self.add_scenario(_group_token(m, "id", file, line, line_start), fields)
+
+    def parse(self, in_body: bool = False) -> list[LossScenario]:
+        if not (in_body or self.expect_keyword("scenarios")):
             return self.scenarios
-        if self.peek().kind == STRING:
-            self.advance()
-        self.expect(LBRACE, "'{'")
+        if not in_body:
+            if self.peek().kind == STRING:
+                self.advance()
+            self.expect(LBRACE, "'{'")
         while self.peek().kind not in (RBRACE, EOF):
             if self.at_keyword("scenario"):
                 self.scenario_item()
@@ -711,28 +792,24 @@ class _ScenarioParser(_Parser):
                 break
             fields[name] = value
         self.expect(RBRACE, "'}'")
-        if broken:
-            return
+        if not broken:
+            self.add_scenario(id_tok, fields)
+
+    def add_scenario(self, id_tok: Token, fields: dict[str, object]) -> None:
         if id_tok.text in self.seen_ids:
             self.error("DuplicateId", f"scenario id {id_tok.text} already declared", id_tok)
             return
         self.seen_ids.add(id_tok.text)
         missing = [f for f in ("origin", "type", "sub_types", "factors", "description") if f not in fields]
         if missing:
-            self.error(
-                "MissingField",
-                f"scenario {id_tok.text} is missing required field(s): {', '.join(missing)}",
-                id_tok,
-            )
+            message = f"scenario {id_tok.text} is missing required field(s): {', '.join(missing)}"
+            self.error("MissingField", message, id_tok)
             return
         origin_id = fields["origin"]
         component = self.model.components.get(origin_id)
         if component is None:
-            self.error(
-                "DanglingComponentRef",
-                f"scenario {id_tok.text} origin {origin_id} is not a model component",
-                id_tok,
-            )
+            message = f"scenario {id_tok.text} origin {origin_id} is not a model component"
+            self.error("DanglingComponentRef", message, id_tok)
             return
         try:
             scenario = LossScenario(
@@ -765,7 +842,5 @@ def parse_scenarios(
     "-" and UCA type token that ``uca_id`` appends; every other identifier
     keeps the limit.
     """
-    tokens, diags = _lex(source_text, file, _UCA_ID_LIMIT)
-    parser = _ScenarioParser(tokens, diags, model)
-    scenarios = parser.parse()
-    return scenarios, diags
+    parser = _ScenarioParser([], [], model)
+    return parser.run(source_text, file, *_fast_patterns("scenarios"), _UCA_ID_LIMIT), parser.diags

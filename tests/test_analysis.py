@@ -11,6 +11,7 @@ from stpa_loc.analysis import (
     DanglingReference,
     DuplicateId,
     Ledger,
+    LedgerFormatError,
     LedgerSource,
     Pathway,
     PathwayStage,
@@ -801,6 +802,26 @@ def test_ledger_load_reports_first_offending_line(host, tmp_path):
     with pytest.raises(UnknownComponent) as raised:
         ledger_load(path, host)
     assert str(raised.value) == "record V-2 names unknown component 'Ghost'"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        pytest.param(b"not json", "Expecting value: line 1 column 1 (char 0)", id="not-json"),
+        pytest.param(b"[]", "ledger line is not a JSON object: []", id="not-an-object"),
+        pytest.param(b'{"id": "V-9"}', "'description'", id="missing-field"),
+        pytest.param(b"[" * 2000 + b"]" * 2000, "line 3: JSON nested too deeply", id="nested-too-deeply"),
+        pytest.param(b'{"id": "\xff"}', "'utf-8' codec can't decode byte 0xff in position ", id="not-utf8"),
+    ],
+)
+def test_ledger_load_reports_the_malformed_line(host, tmp_path, bad, message):
+    path = tmp_path / "ledger.jsonl"
+    write_ledger(path, [("V-1", "P")])
+    path.write_bytes(path.read_bytes() + b"\n" + bad + b"\nthe fourth line is never read\n")
+    with pytest.raises(LedgerFormatError) as raised:
+        ledger_load(path, host)
+    assert raised.value.line == 3
+    assert str(raised.value).startswith(message)
 
 
 def test_ledger_load_matches_registering_each_record(host, tmp_path):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stpa_loc.dsl import _lex, parse_model, parse_scenarios, serialize_model
+from stpa_loc import dsl
+from stpa_loc.dsl import _UCA_ID_LIMIT, _lex, _ModelParser, _ScenarioParser, parse_model, parse_scenarios, serialize_model
 from stpa_loc.model import (
     AgentNature,
     AiCharacteristic,
@@ -29,7 +30,9 @@ from stpa_loc.model import (
     model_fingerprint,
 )
 
+from conftest import MODEL_PATH, SCENARIOS_PATH
 from strategies import models
+from test_complexity import scenario_source, synthetic
 
 
 def codes(diagnostics) -> list[str]:
@@ -703,3 +706,235 @@ def test_scenario_unknown_factor_token(host_model):
         host_model,
     )
     assert "UnknownEnumToken" in codes(diags)
+
+
+# --- fast prefix against the token path ---------------------------------------
+#
+# parse_model and parse_scenarios take well-formed lines and scenario blocks
+# straight from one regex match each, and hand the rest to the token path.
+# Both must give what the token path alone gives: the same model or
+# scenarios, dict order included, and the same diagnostics in the same order.
+
+
+def token_path_model(text: str):
+    parser = _ModelParser(*_lex(text, "f.stpa"))
+    return parser.parse(), parser.diags
+
+
+def token_path_scenarios(text: str, host: ControlStructureModel):
+    parser = _ScenarioParser(*_lex(text, "f.stpa", _UCA_ID_LIMIT), host)
+    return parser.parse(), parser.diags
+
+
+def assert_model_parse_matches_token_path(text: str) -> None:
+    model, diags = parse_model(text, "f.stpa")
+    expected_model, expected_diags = token_path_model(text)
+    assert repr(model) == repr(expected_model)
+    assert diags == expected_diags
+
+
+def assert_scenario_parse_matches_token_path(text: str, host: ControlStructureModel) -> None:
+    assert parse_scenarios(text, host, "f.stpa") == token_path_scenarios(text, host)
+
+
+FAST_MODEL = """# fast prefix demo
+system "demo \\"quoted\\" \\\\ name" {
+  lifecycle: development
+
+  controller C {kind: human notes: "the \\"operator\\""}
+  process P {contains_ai: true}
+  actuator A {kind: automated}
+  sensor S {notes: "eyes"}
+  environment E {}
+  environment F {contains_ai: false notes: "off"}
+  loss L-1 "a loss"   # trailing comment
+  loss L-2 "another loss"
+  hazard H-1 "a hazard" leads_to L-1, L-2
+  constraint SC-1 "keep it safe" mitigates H-1 enforced_by CA-1
+  constraint SC-2 "keep it safer" mitigates H-1
+  control_action CA-1 "act" from C to P via A
+  control_action CA-2 "act again" from C to P
+  feedback FB-1 "report" from P to C via S
+  annotate CA-1 not_provided context "idle" hazards H-1
+  annotate CA-1 wrong_duration context "too long"
+}
+"""
+
+FAST_SCENARIOS = """# fast prefix demo
+scenarios "demo set" {
+  scenario S-1 {
+    origin: C
+    uca: CA-1-not_provided
+    type: type_a
+    sub_types: not_provided, wrong_duration
+    factors: inadequate_control_algorithm, flawed_process_model
+    characteristics: agency, deception
+    catalog: A3-11, B4-01
+    description: "controller \\"stands\\" by"
+  }
+
+  scenario S-2 { origin: P type: type_b sub_types: not_executed factors: delay description: "shrug" }
+  scenario S-3 { origin: C uca: CA-%s-provided_causes_hazard type: type_a sub_types: wrong_duration
+    factors: delay description: "long uca" }
+}
+""" % ("x" * 61)
+
+LONG_ID = "L" + "x" * 64
+UCA_88 = "CA-" + "x" * 62 + "-provided_causes_hazard"
+
+# Each row: the text an edit of FAST_MODEL or FAST_SCENARIOS replaces, and
+# what replaces it. The edits hit the cases where a fast match would be wrong
+# if it were taken, so the token path must have the line.
+FAST_MODEL_EDITS = [
+    pytest.param("leads_to L-1, L-2\n", "leads_to L-1\n  , L-2\n", id="next-line-comma"),
+    pytest.param("leads_to L-1, L-2\n", "leads_to L-1\n  # c\n\n  , L-2\n", id="comma-after-comment"),
+    pytest.param("actuator A {kind: automated}", "actuator A\n  {kind: human}", id="next-line-brace"),
+    pytest.param("from C to P via A", "from C to P\n  via A", id="next-line-via"),
+    pytest.param("from C to P via A", "from C to P\n  # c\n  via A", id="via-after-comment"),
+    pytest.param("mitigates H-1 enforced_by CA-1", "mitigates H-1\n  enforced_by CA-1", id="next-line-enforced_by"),
+    pytest.param('context "idle" hazards H-1', 'context "idle"\n  hazards H-1', id="next-line-hazards"),
+    pytest.param('context "idle" hazards H-1', 'context "idle"\n\t# c\n  hazards H-1', id="hazards-after-tab-comment"),
+    pytest.param("  loss L-2", "\tloss L-2", id="tab-indent"),
+    pytest.param("  loss L-2", "  \t loss L-2", id="tab-after-spaces"),
+    pytest.param("loss L-2", f"loss {LONG_ID}", id="65-character-id"),
+    pytest.param("loss L-2", f"loss {LONG_ID[:64]}", id="64-character-id"),
+    pytest.param('"another loss"', '"another \\q loss"', id="bad-escape"),
+    pytest.param('"another loss"', '"another loss', id="unterminated-string"),
+    pytest.param("hazard H-1 ", "hazard  H-1  ", id="two-spaces"),
+    pytest.param("loss L-2", "loss L-1", id="duplicate-id"),
+    pytest.param("feedback FB-1", "feedback CA-2", id="duplicate-id-across-categories"),
+    pytest.param("wrong_duration", "not_provided", id="duplicate-annotation"),
+    pytest.param('"too long"\n}\n', '"too long"\n}', id="no-final-newline"),
+    pytest.param('"too long"\n}\n', '"too long"\n', id="no-closing-brace"),
+    pytest.param('"too long"\n}\n', '"too long"', id="ends-inside-item"),
+    pytest.param('"too long"\n}\n', '"too long"\n# end', id="ends-inside-comment"),
+    pytest.param("  loss L-1", "  loss L-1\r", id="one-crlf-line"),
+    pytest.param("lifecycle: development", "lifecycle: dev", id="unknown-phase"),
+    pytest.param("{kind: human", "{kind: robot", id="unknown-agent-nature"),
+    pytest.param("{contains_ai: true}", "{contains_ai: true kind: human}", id="attrs-out-of-order"),
+    pytest.param("system", "# c\n\nsystem", id="comment-before-header"),
+    pytest.param('system "demo', 'system  "demo', id="header-two-spaces"),
+    pytest.param("  loss L-1", "  loss L-1 é", id="stray-character"),
+    pytest.param("  loss L-2", "  \x0c, L-3\n  loss L-2", id="form-feed-before-comma"),
+]
+
+FAST_SCENARIO_EDITS = [
+    pytest.param("uca: CA-1-not_provided", f"uca: {UCA_88}", id="88-character-uca"),
+    pytest.param("uca: CA-1-not_provided", f"uca: {UCA_88[:87]}", id="87-character-uca"),
+    pytest.param("origin: P", f"origin: {LONG_ID}", id="65-character-origin"),
+    pytest.param("origin: C", "origin: Ghost", id="dangling-origin"),
+    pytest.param("origin: C\n    uca:", "origin: Cuca:", id="value-runs-into-field"),
+    pytest.param("S-2", "S-1", id="duplicate-scenario-id"),
+    pytest.param("    type: type_a\n", "", id="missing-type"),
+    pytest.param("type: type_b sub_types: not_executed", "type: type_b sub_types: not_provided", id="illegal-sub-type"),
+    pytest.param("    catalog: A3-11, B4-01\n", "    catalog: A3-11\n    , B4-01\n", id="catalog-comma-on-next-line"),
+    pytest.param("    type: type_a\n", "    type: type_a\n    # c\n", id="comment-in-block"),
+    pytest.param("factors: delay", "factors: delay, gremlins", id="unknown-factor"),
+    pytest.param('"controller', '"\\q controller', id="bad-escape"),
+    pytest.param("sub_types: not_provided", "sub_types:  not_provided", id="two-spaces"),
+    pytest.param('"long uca" }\n}\n', '"long uca" }\n}', id="no-final-newline"),
+    pytest.param('"long uca" }\n}\n', '"long uca" }', id="no-closing-brace"),
+    pytest.param('"long uca" }\n}\n', '"long uca"', id="ends-inside-block"),
+    pytest.param("    origin: C\n", "\t  origin: C\n", id="tab-indent"),
+    pytest.param('scenarios "demo set" {', "scenarios {", id="untitled"),
+]
+
+
+@pytest.mark.parametrize("old, new", FAST_MODEL_EDITS + [pytest.param("\n", "\r\n", id="crlf")])
+def test_fast_model_prefix_matches_token_path_on_edge_cases(old, new):
+    assert old in FAST_MODEL
+    count = -1 if old == "\n" else 1
+    assert_model_parse_matches_token_path(FAST_MODEL.replace(old, new, count))
+
+
+@pytest.mark.parametrize("old, new", FAST_SCENARIO_EDITS + [pytest.param("\n", "\r\n", id="crlf")])
+def test_fast_scenario_prefix_matches_token_path_on_edge_cases(old, new):
+    assert old in FAST_SCENARIOS
+    host, diags = parse_model(FAST_MODEL)
+    assert diags == []
+    count = -1 if old == "\n" else 1
+    assert_scenario_parse_matches_token_path(FAST_SCENARIOS.replace(old, new, count), host)
+
+
+def test_fast_prefix_takes_every_well_formed_item(monkeypatch):
+    """Only the closing brace reaches the lexer for canonical and generated text."""
+    starts = []
+    real_lex = dsl._lex
+
+    def recording_lex(source, file, uca_limit=64, pos=0, line=1):
+        starts.append((len(source) - pos, line))
+        return real_lex(source, file, uca_limit, pos, line)
+
+    monkeypatch.setattr(dsl, "_lex", recording_lex)
+    model, scenarios = synthetic(20)
+    canonical, listed = serialize_model(model), scenario_source(scenarios)
+    host, _ = parse_model(canonical)
+    parse_scenarios(listed, host)
+    bundled, _ = parse_model(MODEL_PATH.read_text(encoding="utf-8"))
+    parse_scenarios(SCENARIOS_PATH.read_text(encoding="utf-8"), bundled)
+    fast_host, _ = parse_model(FAST_MODEL)
+    parse_scenarios(FAST_SCENARIOS, fast_host)
+    assert starts == [
+        (2, canonical.count("\n")),
+        (2, listed.count("\n")),
+        (2, MODEL_PATH.read_text(encoding="utf-8").count("\n")),
+        (2, SCENARIOS_PATH.read_text(encoding="utf-8").count("\n")),
+        (2, FAST_MODEL.count("\n")),
+        (2, FAST_SCENARIOS.count("\n")),
+    ]
+
+
+def differential_bases() -> tuple[list[str], list[str]]:
+    model, scenarios = synthetic(6)
+    models = [FAST_MODEL, serialize_model(model), MODEL_PATH.read_text(encoding="utf-8")]
+    return models, [FAST_SCENARIOS, scenario_source(scenarios), SCENARIOS_PATH.read_text(encoding="utf-8")]
+
+
+DIFFERENTIAL_MODELS, DIFFERENTIAL_SCENARIOS = differential_bases()
+DIFFERENTIAL_HOSTS = [parse_model(text)[0] for text in DIFFERENTIAL_MODELS]
+
+EDIT_PIECES = [
+    '"', "\\", "\\q", '\\"', "#", "{", "}", ":", ",", "\n", "\r", "\t", " ", "  ", "\x0c", "é", "x", "-",
+    "\n  , X", "\n  {kind: ai}", "\n  via X", "\n  hazards X", "\n  enforced_by X", "\n  # c\n  , X",
+    "\n  # c\n\n  via X", "\n\t# c\n  hazards X", "\n  # c\n  {notes: \"n\"}", "\n  # c\n  enforced_by X",
+    "x" * 65, "CA-" + "x" * 85, "loss L-1 \"dup\"\n", "uca: ", "not_provided", "true", "kind: ", "scenario",
+]
+
+edits = st.lists(
+    st.tuples(
+        st.integers(0, 999), st.sampled_from(["insert", "end-of-line", "replace", "delete"]), st.sampled_from(EDIT_PIECES)
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def apply_edits(text: str, steps) -> str:
+    for where, how, piece in steps:
+        at = where * len(text) // 1000
+        if how == "end-of-line":
+            at = text.find("\n", at)
+            at = len(text) if at < 0 else at
+        if how in ("insert", "end-of-line"):
+            text = text[:at] + piece + text[at:]
+        elif how == "replace":
+            text = text[:at] + piece + text[at + 1:]
+        else:
+            text = text[:at] + text[at + len(piece):]
+    return text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(base=st.sampled_from(range(len(DIFFERENTIAL_MODELS))), steps=edits)
+def test_fast_model_prefix_matches_token_path_on_edited_text(base, steps):
+    assert_model_parse_matches_token_path(apply_edits(DIFFERENTIAL_MODELS[base], steps))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    base=st.sampled_from(range(len(DIFFERENTIAL_SCENARIOS))),
+    host=st.sampled_from(DIFFERENTIAL_HOSTS),
+    steps=edits,
+)
+def test_fast_scenario_prefix_matches_token_path_on_edited_text(base, host, steps):
+    assert_scenario_parse_matches_token_path(apply_edits(DIFFERENTIAL_SCENARIOS[base], steps), host)

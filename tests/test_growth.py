@@ -14,11 +14,13 @@ import sys
 
 import pytest
 
-from stpa_loc.analysis import trace_pathway
-from stpa_loc.dsl import serialize_model
+from stpa_loc.analysis import enumerate_ucas, trace_pathway
+from stpa_loc.catalog import generate_prompts, load_catalog
+from stpa_loc.dsl import parse_model, parse_scenarios, serialize_model
+from stpa_loc.model import AgentNature, Component, ComponentKind, ControlStructureModel, LifecyclePhase, validate_model
 from stpa_loc.report import TableDirection, build_table, render_csv, render_json, render_markdown
 
-from test_complexity import synthetic
+from test_complexity import scenario_source, synthetic
 
 SMALL, LARGE = 50, 200
 BOUND = 4.5
@@ -90,6 +92,58 @@ def serialize_run(n):
     return lambda: serialize_model(model)
 
 
+def tab_indent_second_item(source: str) -> str:
+    """``source`` with a tab before its second item line, so that parsing
+    leaves the fast prefix there and lexes the rest token by token."""
+    lines = source.split("\n")
+    lines[2] = "\t" + lines[2].lstrip(" ")
+    return "\n".join(lines)
+
+
+def parse_model_run(edit):
+    def make_run(n):
+        source = edit(serialize_model(synthetic(n)[0]))
+        model, diags = parse_model(source)
+        assert model == synthetic(n)[0]
+        assert [d.rule_code for d in diags] == (["TabIndent"] if source.count("\t") else [])
+        return lambda: parse_model(source)
+
+    return make_run
+
+
+def parse_scenarios_run(edit):
+    def make_run(n):
+        model, scenarios = synthetic(n)
+        source = edit(scenario_source(scenarios))
+        parsed, diags = parse_scenarios(source, model)
+        assert parsed == scenarios
+        assert [d.rule_code for d in diags] == (["TabIndent"] if source.count("\t") else [])
+        return lambda: parse_scenarios(source, model)
+
+    return make_run
+
+
+def validate_run(n):
+    model = synthetic(n)[0]
+    return lambda: validate_model(model)
+
+
+def enumerate_run(n):
+    model = synthetic(n)[0]
+    return lambda: enumerate_ucas(model)
+
+
+def prompts_run(n):
+    kinds = list(ComponentKind)
+    components = [
+        Component(id=f"X-{i}", name=f"X-{i}", kind=kinds[i % len(kinds)], agent_nature=list(AgentNature)[i % 3])
+        for i in range(n)
+    ]
+    model = ControlStructureModel.from_items("prompts", LifecyclePhase.OPERATIONS, components=components)
+    catalog = load_catalog()
+    return lambda: generate_prompts(catalog, model)
+
+
 @pytest.mark.parametrize(
     "make_run",
     [
@@ -99,6 +153,13 @@ def serialize_run(n):
         pytest.param(renderer_run(render_markdown), id="render_markdown"),
         pytest.param(json_run, id="render_json"),
         pytest.param(serialize_run, id="serialize_model"),
+        pytest.param(parse_model_run(lambda source: source), id="parse_model-fast"),
+        pytest.param(parse_model_run(tab_indent_second_item), id="parse_model-tokens"),
+        pytest.param(parse_scenarios_run(lambda source: source), id="parse_scenarios-fast"),
+        pytest.param(parse_scenarios_run(tab_indent_second_item), id="parse_scenarios-tokens"),
+        pytest.param(validate_run, id="validate_model"),
+        pytest.param(enumerate_run, id="enumerate_ucas"),
+        pytest.param(prompts_run, id="generate_prompts"),
     ],
 )
 def test_executed_bytecodes_grow_linearly(make_run):
