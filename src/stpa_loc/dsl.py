@@ -21,17 +21,16 @@ shorthand for `kind: ai`. A missing `lifecycle` item defaults to
 operations. Display names are not part of the grammar: a component's name
 is its id.
 
-Parsing starts with a fast prefix. After a well-formed `system "..." {` or
-`scenarios ... {` header, one pattern match takes each well-formed one-line
-model item, or each `scenario` block with its fields in grammar order, and
-its record is built from the groups. The patterns take only text that the
-token path lexes without a diagnostic and parses into whole items, and no
-model line that the next significant line extends (`,`, `{`, `via`,
-`enforced_by` or `hazards`). At the first other line the token path takes
-over for good, at item level: one `re.finditer` pass over a master pattern,
-`_LEXEME`, then recursive descent. Tokens carry their positions; a
-`SourceSpan` is built only for a diagnostic. Either way every lexer
-diagnostic comes first, then the parser's in source order.
+Parsing starts with a fast prefix: after a well-formed `system "..." {` or
+`scenarios ... {` header, each one-line model item, or `scenario` block with
+its fields in grammar order, that lexes without a diagnostic and that the
+next significant line does not extend (`,`, `{`, `via`, `enforced_by`,
+`hazards`) is one pattern match, built straight into its record. From the
+first line that is not, the token path parses the rest at item level: one
+`re.finditer` pass over a master pattern, `_LEXEME`, then recursive descent.
+Tokens carry their positions; a `SourceSpan` is built only for a diagnostic.
+Diagnostics come out as without the prefix: the lexer's first, then the
+parser's in source order.
 
 Loss scenarios live in a companion file with the same lexical rules:
 

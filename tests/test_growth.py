@@ -17,7 +17,14 @@ import pytest
 from stpa_loc.analysis import enumerate_ucas, trace_pathway
 from stpa_loc.catalog import generate_prompts, load_catalog
 from stpa_loc.dsl import parse_model, parse_scenarios, serialize_model
-from stpa_loc.model import AgentNature, Component, ComponentKind, ControlStructureModel, LifecyclePhase, validate_model
+from stpa_loc.model import (
+    AgentNature,
+    Component,
+    ComponentKind,
+    ControlStructureModel,
+    LifecyclePhase,
+    validate_model,
+)
 from stpa_loc.report import TableDirection, build_table, render_csv, render_json, render_markdown
 
 from test_complexity import scenario_source, synthetic
@@ -102,10 +109,11 @@ def tab_indent_second_item(source: str) -> str:
 
 def parse_model_run(edit):
     def make_run(n):
-        source = edit(serialize_model(synthetic(n)[0]))
-        model, diags = parse_model(source)
-        assert model == synthetic(n)[0]
-        assert [d.rule_code for d in diags] == (["TabIndent"] if source.count("\t") else [])
+        model = synthetic(n)[0]
+        source = edit(serialize_model(model))
+        parsed, diags = parse_model(source)
+        assert parsed == model
+        assert [d.rule_code for d in diags] == (["TabIndent"] if "\t" in source else [])
         return lambda: parse_model(source)
 
     return make_run
@@ -117,7 +125,7 @@ def parse_scenarios_run(edit):
         source = edit(scenario_source(scenarios))
         parsed, diags = parse_scenarios(source, model)
         assert parsed == scenarios
-        assert [d.rule_code for d in diags] == (["TabIndent"] if source.count("\t") else [])
+        assert [d.rule_code for d in diags] == (["TabIndent"] if "\t" in source else [])
         return lambda: parse_scenarios(source, model)
 
     return make_run
@@ -134,9 +142,9 @@ def enumerate_run(n):
 
 
 def prompts_run(n):
-    kinds = list(ComponentKind)
+    kinds, natures = list(ComponentKind), list(AgentNature)
     components = [
-        Component(id=f"X-{i}", name=f"X-{i}", kind=kinds[i % len(kinds)], agent_nature=list(AgentNature)[i % 3])
+        Component(id=f"X-{i}", name=f"X-{i}", kind=kinds[i % len(kinds)], agent_nature=natures[i % len(natures)])
         for i in range(n)
     ]
     model = ControlStructureModel.from_items("prompts", LifecyclePhase.OPERATIONS, components=components)
