@@ -294,7 +294,9 @@ def _fast_patterns(kind: str) -> tuple[re.Pattern[str], re.Pattern[str]]:
         rf"(?:{field('characteristics', listing(words(AiCharacteristic)))})?(?:{field('catalog', ids)})?"
         rf"[ \n]*description[ ]*:[ ]*{string('description')}[ \n]*\}})"
     )
-    # a model line is taken only if the next significant line does not extend it
+    # A model line counts only if the next significant line starts another item
+    # or ends the body or the file; `,`, `{`, `via`, `enforced_by` or `hazards`
+    # there would extend it. The empty alternatives take blank and comment lines.
     item_ends = rf"(?:{rest})*[ ]*(?:}}|(?:#[^\n]*)?\Z|(?!(?:via|enforced_by|hazards){end})[A-Za-z])"
     if kind == "model":
         header, item = rf"system[ ]*{string('name')}", rf"[ ]*(?:{model_line}|){rest}(?={item_ends})"
