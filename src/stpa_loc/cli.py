@@ -199,11 +199,28 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_ledger(args: argparse.Namespace) -> int:
-    from . import analysis
-
     model, code = _load_valid_model(args.model)
     if model is None:
         return code
+    if args.ledger_cmd == "exposure":
+        return _ledger_command(args, model)
+    import fcntl  # POSIX only
+
+    # Writers take turns on a lock file beside the ledger, held from load to
+    # save. Not on the ledger itself: the save replaces its inode.
+    target = Path(os.path.realpath(args.ledger))
+    try:
+        lock = open(target.with_name(f".{target.name}.lock"), "ab")
+    except OSError as exc:
+        return _fail(str(OSError(exc.errno, exc.strerror, args.ledger)), EXIT_IO)
+    with lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        return _ledger_command(args, model)
+
+
+def _ledger_command(args: argparse.Namespace, model: ControlStructureModel) -> int:
+    from . import analysis
+
     try:
         if Path(args.ledger).exists():
             ledger = analysis.ledger_load(args.ledger, model)

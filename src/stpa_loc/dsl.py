@@ -21,14 +21,17 @@ shorthand for `kind: ai`. A missing `lifecycle` item defaults to
 operations. Display names are not part of the grammar: a component's name
 is its id.
 
-Parsing starts with a fast prefix: after a well-formed `system "..." {` or
-`scenarios ... {` header, each one-line model item, or `scenario` block with
-its fields in grammar order, that lexes without a diagnostic and that the
-next significant line does not extend (`,`, `{`, `via`, `enforced_by`,
-`hazards`) is one pattern match, built straight into its record. From the
-first line that is not, the token path parses the rest at item level: one
-`re.finditer` pass over a master pattern, `_LEXEME`, then recursive descent.
-Tokens carry their positions; a `SourceSpan` is built only for a diagnostic.
+Parsing alternates between a fast prefix and a token path. After a
+well-formed `system "..." {` or `scenarios ... {` header, each one-line model
+item, or `scenario` block with its fields in grammar order, that lexes without
+a diagnostic and that the next significant line does not extend (`,`, `{`,
+`via`, `enforced_by`, `hazards`) is one pattern match, built straight into its
+record. At a line that is not, the token path takes over up to the first word
+of the next line that the prefix takes: one `re.finditer` pass over a master
+pattern, `_LEXEME`, then recursive descent. If the parser is at item level at
+that word, the prefix takes over again; if an item took the word, the token
+path lexes on to the next such line. Tokens carry their positions; a
+`SourceSpan` is built only for a diagnostic.
 Diagnostics come out as without the prefix: the lexer's first, then the
 parser's in source order.
 
@@ -152,6 +155,7 @@ RBRACE = "RBRACE"
 COLON = "COLON"
 COMMA = "COMMA"
 EOF = "EOF"
+MORE = "MORE"  # ends a stretch of tokens that the rest of the file follows
 
 _PUNCTUATION = {"{": LBRACE, "}": RBRACE, ":": COLON, ",": COMMA}
 
@@ -194,12 +198,15 @@ def _unescape(text: str) -> str:
 
 
 def _lex(
-    source: str, file: str, uca_limit: int = MAX_IDENTIFIER_LENGTH, pos: int = 0, line: int = 1
+    source: str, file: str, uca_limit: int = MAX_IDENTIFIER_LENGTH, pos: int = 0, line: int = 1, end: int | None = None
 ) -> tuple[list[Token], list[Diagnostic]]:
-    """Tokens and lexer diagnostics of ``source`` from ``pos``, a line start."""
+    """Tokens and lexer diagnostics of ``source`` from ``pos``, a line start;
+    given ``end``, a later line start, up to the first word of that line and a
+    MORE token whose ``length`` holds ``end``."""
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
     line_start = pos
+    end = len(source) if end is None else end
     m = None
     for m in _LEXEME.finditer(source, pos):
         kind = m.lastgroup
@@ -215,6 +222,9 @@ def _lex(
                     message = f"identifier {word[:16]}... exceeds {limit} characters"
                     diags.append(Diagnostic(Severity.ERROR, "BadIdentifier", message, tok.span))
             tokens.append(tok)
+            if start >= end:
+                tokens.append(Token(MORE, "", file, line, col, end))
+                return tokens, diags
         elif kind == "NEWLINE" or kind == "BLANK":
             if kind == "NEWLINE":
                 line += 1
@@ -325,23 +335,65 @@ class _Parser:
         self.pos = 0
 
     def run(self, source: str, file: str, header: re.Pattern[str], item: re.Pattern[str], uca_limit: int):
-        """Parse ``source``: records straight from the matches of the header and
-        of each item after it, then the token path from where they stop."""
-        m, pos, line = header.match(source), 0, 1
+        """Parse ``source``: records straight from the header and item matches,
+        and the token path wherever they stop, up to the next item they take."""
+        self.source, self.file, self.item_pattern, self.uca_limit = source, file, item, uca_limit
+        self.lex_diags: list[Diagnostic] = []
+        m = header.match(source)
+        if m is None:
+            self.lex(0, 1)
+        else:
+            self.fast_item(m, file, 1, 0)
+            self.resume(m.end(), 1 + source.count("\n", 0, m.end()))
+        result = self.parse(in_body=m is not None)
+        more = self.tokens[-1]
+        if more.kind is MORE:  # parsing ended before the last stretch: lex it for its diagnostics
+            self.lex_diags += _lex(source, file, uca_limit, more.length, more.line)[1]
+        self.diags[:0] = self.lex_diags  # every lexer diagnostic comes first
+        return result
+
+    def resume(self, pos: int, line: int) -> None:
+        """Take the items from ``pos``, a line start, then lex from where they stop."""
+        source, item = self.source, self.item_pattern
+        m = item.match(source, pos)
         while m is not None:
             if m.lastgroup is not None:
-                self.fast_item(m, file, line, pos)
+                self.fast_item(m, self.file, line, pos)
             line += source.count("\n", pos, m.end())
             pos = m.end()
             m = item.match(source, pos)
-        self.tokens, diags = _lex(source, file, uca_limit, pos, line)
-        self.diags[:0] = diags  # every lexer diagnostic comes first
-        return self.parse(in_body=pos > 0)
+        self.lex(pos, line)
+
+    def lex(self, pos: int, line: int) -> None:
+        """Tokens from ``pos``, a line start, to the first word of the next line
+        that the item pattern takes (blank and comment lines do not count)."""
+        source, end = self.source, pos
+        while end := source.find("\n", end) + 1:
+            m = self.item_pattern.match(source, end)
+            if m is not None and m.lastgroup is not None:
+                break
+        self.tokens, diags = _lex(source, self.file, self.uca_limit, pos, line, end or None)
+        self.lex_diags += diags
+        self.pos = 0
+
+    def at_item(self) -> bool:
+        """Whether the item loop goes on; at a line the item pattern takes, the prefix takes it first."""
+        while self.peek().kind not in (RBRACE, EOF):
+            more = self.tokens[self.pos + 1]
+            if more.kind is not MORE:
+                return True
+            self.resume(more.length, more.line)
+        return False
 
     # -- token plumbing ----------------------------------------------------
 
     def peek(self) -> Token:
-        return self.tokens[self.pos]
+        tok = self.tokens[self.pos]
+        if tok.kind is MORE:  # an item took the first word of the line at its offset
+            self.lex(tok.length, tok.line)
+            self.pos = 1
+            return self.peek()
+        return tok
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -471,7 +523,7 @@ class _ModelParser(_Parser):
                 if name_tok is not None:
                     self.name = name_tok.text
                 self.expect(LBRACE, "'{'")
-            while self.peek().kind not in (RBRACE, EOF):
+            while self.at_item():
                 self.item()
             self.expect(RBRACE, "'}'")
         return ControlStructureModel(name=self.name, lifecycle=self.lifecycle, **self.collections)
@@ -742,7 +794,7 @@ class _ScenarioParser(_Parser):
             if self.peek().kind == STRING:
                 self.advance()
             self.expect(LBRACE, "'{'")
-        while self.peek().kind not in (RBRACE, EOF):
+        while self.at_item():
             if self.at_keyword("scenario"):
                 self.scenario_item()
             else:

@@ -6,7 +6,10 @@ import importlib
 import io
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -625,6 +628,23 @@ def test_ledger_resolve_rejects_close_before_open(ledger_env):
     )
     assert code == 1
     assert read_records(ledger)[0]["closed_at"] is None
+
+
+def test_concurrent_ledger_adds_keep_every_record(ledger_env):
+    """Writers take turns on the ledger's lock file, so none of four `ledger
+    add` processes started at once drops another's record."""
+    ledger, model = ledger_env
+    env = dict(os.environ, PYTHONPATH=str(Path(analysis.__file__).parent.parent))
+    added = []
+    for batch in range(3):
+        ids = [f"V-{batch}-{i}" for i in range(4)]
+        writers = [
+            subprocess.Popen([sys.executable, "-m", "stpa_loc.cli", *add_args(ledger, model, record_id=id_)], env=env)
+            for id_ in ids
+        ]
+        assert [writer.wait(timeout=60) for writer in writers] == [0] * 4
+        added += ids
+        assert sorted(r["id"] for r in read_records(ledger)) == sorted(added)
 
 
 def test_ledger_add_to_missing_directory_is_io_error(ledger_env, tmp_path):

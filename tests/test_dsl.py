@@ -790,6 +790,10 @@ scenarios "demo set" {
 LONG_ID = "L" + "x" * 64
 UCA_88 = "CA-" + "x" * 62 + "-provided_causes_hazard"
 
+TWO_BREAKS = FAST_MODEL[FAST_MODEL.index("  sensor"):FAST_MODEL.index("  constraint SC-2")]
+S2_LINE = "  }\n\n  scenario S-2"
+S_BREAKS = FAST_SCENARIOS[FAST_SCENARIOS.index('by"\n'):FAST_SCENARIOS.index('uca" }')]
+
 # Each row: the text an edit of FAST_MODEL or FAST_SCENARIOS replaces, and
 # what replaces it. The edits hit the cases where a fast match would be wrong
 # if it were taken, so the token path must have the line.
@@ -824,6 +828,14 @@ FAST_MODEL_EDITS = [
     pytest.param('system "demo', 'system  "demo', id="header-two-spaces"),
     pytest.param("  loss L-1", "  loss L-1 é", id="stray-character"),
     pytest.param("  loss L-2", "  \x0c, L-3\n  loss L-2", id="form-feed-before-comma"),
+    # the token path takes a broken line and hands back to the prefix at the
+    # next line it takes, or runs on when an item takes that line's first word
+    pytest.param('"another loss"', '"another loss" stray', id="break-mid-file"),
+    pytest.param(TWO_BREAKS, TWO_BREAKS.replace('"eyes"', "eyes").replace("L-1, L-2", "L-1 L-2"), id="two-breaks"),
+    pytest.param("lifecycle: development", 'lifecycle:\n  loss L-0 "zero"', id="lifecycle-colon-ends-line"),
+    pytest.param("leads_to L-1, L-2\n", 'leads_to L-1,\n  loss L-3 "three"\n', id="comma-ends-line"),
+    pytest.param('"too long"\n}', '"too long"\n  stray\n}', id="break-before-brace"),
+    pytest.param('"too long"\n}\n', '"too long" stray\n}\n  loss L-9 "after"\n\tloss L-8 "tab"\n', id="items-after-brace"),
 ]
 
 FAST_SCENARIO_EDITS = [
@@ -845,6 +857,17 @@ FAST_SCENARIO_EDITS = [
     pytest.param('"long uca" }\n}\n', '"long uca"', id="ends-inside-block"),
     pytest.param("    origin: C\n", "\t  origin: C\n", id="tab-indent"),
     pytest.param('scenarios "demo set" {', "scenarios {", id="untitled"),
+    pytest.param('by"\n', 'by" stray\n', id="break-mid-file"),
+    pytest.param(S_BREAKS, S_BREAKS.replace('by"', 'by" stray').replace('"long', '"\\q long'), id="two-breaks"),
+    pytest.param(S2_LINE, "  }\n  scenario S-9 { origin:\n  scenario S-2", id="colon-ends-line"),
+    pytest.param(S2_LINE, "  }\n  scenario S-9 { origin: C catalog: A3-11,\n  scenario S-2", id="comma-ends-line"),
+    pytest.param('"long uca" }\n}', '"long uca" } stray\n}', id="break-before-brace"),
+    pytest.param(
+        '"long uca" }\n}\n',
+        '"long uca" } stray\n}\n  scenario S-9 { origin: P type: type_b sub_types: not_executed factors: delay'
+        ' description: "after" }\n\t# tab\n',
+        id="items-after-brace",
+    ),
 ]
 
 
@@ -869,9 +892,9 @@ def test_fast_prefix_takes_every_well_formed_item(monkeypatch):
     starts = []
     real_lex = dsl._lex
 
-    def recording_lex(source, file, uca_limit, pos, line):
+    def recording_lex(source, file, uca_limit, pos, line, end=None):
         starts.append((len(source) - pos, line))
-        return real_lex(source, file, uca_limit, pos, line)
+        return real_lex(source, file, uca_limit, pos, line, end)
 
     monkeypatch.setattr(dsl, "_lex", recording_lex)
     model, scenarios = synthetic(20)
@@ -890,6 +913,31 @@ def test_fast_prefix_takes_every_well_formed_item(monkeypatch):
         (2, FAST_MODEL.count("\n")),
         (2, FAST_SCENARIOS.count("\n")),
     ]
+
+
+def test_token_path_lexes_only_the_lines_around_each_break(monkeypatch):
+    """The prefix takes over again after each broken line, so the lexer sees
+    each broken line and the first word of the line after it, then the
+    closing brace."""
+    chunks = []
+    real_lex = dsl._lex
+
+    def recording_lex(source, file, uca_limit, pos, line, end=None):
+        chunks.append((line, source.count("\n", pos, end)))
+        return real_lex(source, file, uca_limit, pos, line, end)
+
+    lines = serialize_model(synthetic(50)[0]).split("\n")
+    breaks = [
+        next(i for i, text in enumerate(lines) if text.startswith(keyword))
+        for keyword in ("  loss L-7", "  hazard H-20", "  control_action CA-33")
+    ]
+    lines[breaks[0]] = lines[breaks[0]].replace('"loss', '"\\q loss')
+    lines[breaks[1]] += " stray"
+    lines[breaks[2]] = lines[breaks[2]].replace('"', "", 1)
+    source = "\n".join(lines)
+    monkeypatch.setattr(dsl, "_lex", recording_lex)
+    assert_model_parse_matches_token_path(source)
+    assert chunks == [(i + 1, 1) for i in breaks] + [(len(lines) - 1, 1)]
 
 
 def differential_bases() -> tuple[list[str], list[str]]:

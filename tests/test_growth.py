@@ -11,10 +11,11 @@ keys, does not show up here; the timing checks still cover it.
 from __future__ import annotations
 
 import sys
+from datetime import datetime, timezone
 
 import pytest
 
-from stpa_loc.analysis import enumerate_ucas, trace_pathway
+from stpa_loc.analysis import Ledger, VulnerabilityRecord, enumerate_ucas, ledger_register, trace_pathway
 from stpa_loc.catalog import generate_prompts, load_catalog
 from stpa_loc.dsl import parse_model, parse_scenarios, serialize_model
 from stpa_loc.model import (
@@ -22,7 +23,9 @@ from stpa_loc.model import (
     Component,
     ComponentKind,
     ControlStructureModel,
+    LedgerSource,
     LifecyclePhase,
+    RecordSeverity,
     validate_model,
 )
 from stpa_loc.report import TableDirection, build_table, render_csv, render_json, render_markdown
@@ -99,33 +102,37 @@ def serialize_run(n):
     return lambda: serialize_model(model)
 
 
-def tab_indent_second_item(source: str) -> str:
-    """``source`` with a tab before its second item line, so that parsing
-    leaves the fast prefix there and lexes the rest token by token."""
+def tab_indent(source: str, every: int) -> tuple[str, int]:
+    """``source`` with a tab instead of the indentation of every ``every``-th
+    item line (none for 0), and how many lines took one. Parsing leaves the
+    fast prefix at each such line; at 1 the token path parses the whole body."""
     lines = source.split("\n")
-    lines[2] = "\t" + lines[2].lstrip(" ")
-    return "\n".join(lines)
+    items = [i for i, line in enumerate(lines) if line.startswith("  ")]
+    tabbed = items[every - 1::every] if every else []
+    for i in tabbed:
+        lines[i] = "\t" + lines[i].lstrip(" ")
+    return "\n".join(lines), len(tabbed)
 
 
-def parse_model_run(edit):
+def parse_model_run(every: int):
     def make_run(n):
         model = synthetic(n)[0]
-        source = edit(serialize_model(model))
+        source, tabbed = tab_indent(serialize_model(model), every)
         parsed, diags = parse_model(source)
         assert parsed == model
-        assert [d.rule_code for d in diags] == (["TabIndent"] if "\t" in source else [])
+        assert [d.rule_code for d in diags] == ["TabIndent"] * tabbed
         return lambda: parse_model(source)
 
     return make_run
 
 
-def parse_scenarios_run(edit):
+def parse_scenarios_run(every: int):
     def make_run(n):
         model, scenarios = synthetic(n)
-        source = edit(scenario_source(scenarios))
+        source, tabbed = tab_indent(scenario_source(scenarios), every)
         parsed, diags = parse_scenarios(source, model)
         assert parsed == scenarios
-        assert [d.rule_code for d in diags] == (["TabIndent"] if "\t" in source else [])
+        assert [d.rule_code for d in diags] == ["TabIndent"] * tabbed
         return lambda: parse_scenarios(source, model)
 
     return make_run
@@ -152,6 +159,19 @@ def prompts_run(n):
     return lambda: generate_prompts(catalog, model)
 
 
+def ledger_register_run(n):
+    """One registration on a ledger of n records: O(n) by design, because a
+    ledger is a value and each call builds a new one."""
+
+    def record(i):
+        opened = datetime(2026, 1, 1, tzinfo=timezone.utc)
+        return VulnerabilityRecord(f"V-{i}", "gap", "C", RecordSeverity.LOW, opened, LedgerSource.AUDIT)
+
+    ledger = Ledger("fingerprint", frozenset({"C"}), tuple(map(record, range(n))))
+    new = record(n)
+    return lambda: ledger_register(ledger, new)
+
+
 @pytest.mark.parametrize(
     "make_run",
     [
@@ -161,13 +181,16 @@ def prompts_run(n):
         pytest.param(renderer_run(render_markdown), id="render_markdown"),
         pytest.param(json_run, id="render_json"),
         pytest.param(serialize_run, id="serialize_model"),
-        pytest.param(parse_model_run(lambda source: source), id="parse_model-fast"),
-        pytest.param(parse_model_run(tab_indent_second_item), id="parse_model-tokens"),
-        pytest.param(parse_scenarios_run(lambda source: source), id="parse_scenarios-fast"),
-        pytest.param(parse_scenarios_run(tab_indent_second_item), id="parse_scenarios-tokens"),
+        pytest.param(parse_model_run(0), id="parse_model-fast"),
+        pytest.param(parse_model_run(1), id="parse_model-tokens"),
+        pytest.param(parse_model_run(10), id="parse_model-resume"),
+        pytest.param(parse_scenarios_run(0), id="parse_scenarios-fast"),
+        pytest.param(parse_scenarios_run(1), id="parse_scenarios-tokens"),
+        pytest.param(parse_scenarios_run(10), id="parse_scenarios-resume"),
         pytest.param(validate_run, id="validate_model"),
         pytest.param(enumerate_run, id="enumerate_ucas"),
         pytest.param(prompts_run, id="generate_prompts"),
+        pytest.param(ledger_register_run, id="ledger_register"),
     ],
 )
 def test_executed_bytecodes_grow_linearly(make_run):
