@@ -402,7 +402,10 @@ def trace_pathway(scenario: LossScenario, model: ControlStructureModel) -> Pathw
 def _require_utc(name: str, value: datetime) -> datetime:
     if value.tzinfo is None:
         raise ValueError(f"{name} must be timezone-aware")
-    return value.astimezone(timezone.utc)
+    try:
+        return value.astimezone(timezone.utc)
+    except OverflowError:  # a moment within a day of year 1 or 9999
+        raise ValueError(f"{name} is out of range in UTC: {value.isoformat()}") from None
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ producing a half-loaded catalog.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -236,20 +237,33 @@ def _parse_row(cols: list[str], row: int) -> CatalogEntry:
 def load_catalog(path: str | Path | None = None) -> Catalog:
     """Load the bundled catalog, or a replacement file at ``path``.
 
-    Raises :class:`CatalogFormatError` for structural problems or text
-    that is not UTF-8, and ``OSError`` if ``path`` cannot be read.
+    The bundled file is parsed once per process; ``path`` is read on every
+    call. Raises :class:`CatalogFormatError` for structural problems or
+    text that is not UTF-8, and ``OSError`` if ``path`` cannot be read.
     """
-    bundled = path is None
-    if bundled:
-        text = (
-            resources.files("stpa_loc.data").joinpath("catalog.tsv").read_text("utf-8")
-        )
-    else:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise CatalogFormatError(f"catalog file is not UTF-8 text ({exc.reason})") from None
+    if path is None:
+        return _bundled_catalog()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CatalogFormatError(f"catalog file is not UTF-8 text ({exc.reason})") from None
+    return _parse_catalog(text)
 
+
+@functools.cache
+def _bundled_catalog() -> Catalog:
+    text = resources.files("stpa_loc.data").joinpath("catalog.tsv").read_text("utf-8")
+    catalog = _parse_catalog(text)
+    generic = sum(1 for entry in catalog if entry.source == "table3")
+    if generic != TABLE3_ROW_COUNT:
+        raise CatalogFormatError(
+            f"bundled catalog must hold {TABLE3_ROW_COUNT} generic entries,"
+            f" found {generic}"
+        )
+    return catalog
+
+
+def _parse_catalog(text: str) -> Catalog:
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -275,14 +289,6 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
             raise CatalogFormatError(f"duplicate entry id {entry.id!r}", row=offset)
         seen.add(entry.id)
         entries.append(entry)
-
-    if bundled:
-        generic = sum(1 for entry in entries if entry.source == "table3")
-        if generic != TABLE3_ROW_COUNT:
-            raise CatalogFormatError(
-                f"bundled catalog must hold {TABLE3_ROW_COUNT} generic entries,"
-                f" found {generic}"
-            )
     return Catalog(entries=tuple(entries))
 
 

@@ -91,6 +91,10 @@ def _timestamp(text: str) -> datetime:
         ) from None
     if value.tzinfo is None:
         value = value.replace(tzinfo=timezone.utc)
+    try:
+        value.astimezone(timezone.utc)
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"{text!r} is out of range in UTC") from None
     return value
 
 

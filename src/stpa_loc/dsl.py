@@ -306,10 +306,12 @@ def _fast_patterns(kind: str) -> tuple[re.Pattern[str], re.Pattern[str]]:
     )
     # A model line counts only if the next significant line starts another item
     # or ends the body or the file; `,`, `{`, `via`, `enforced_by` or `hazards`
-    # there would extend it. The empty alternatives take blank and comment lines.
-    item_ends = rf"(?:{rest})*[ ]*(?:}}|(?:#[^\n]*)?\Z|(?!(?:via|enforced_by|hazards){end})[A-Za-z])"
+    # there would extend it. Tabs may indent the lines looked at, which the token
+    # path then takes. The bare `{rest}` alternatives take blank and comment
+    # lines; the model's has no lookahead, so a run of them is linear.
+    item_ends = rf"(?:[ \t]*(?:#[^\n]*)?\n)*[ \t]*(?:}}|(?:#[^\n]*)?\Z|(?!(?:via|enforced_by|hazards){end})[A-Za-z])"
     if kind == "model":
-        header, item = rf"system[ ]*{string('name')}", rf"[ ]*(?:{model_line}|){rest}(?={item_ends})"
+        header, item = rf"system[ ]*{string('name')}", rf"[ ]*(?:(?:{model_line}){rest}(?={item_ends})|{rest})"
     else:
         header, item = rf"scenarios[ ]*(?:{string('title')})?", rf"[ ]*(?:{scenario})?{rest}"
     return re.compile(rf"(?:{rest})*[ ]*{header}[ ]*\{{{rest}"), re.compile(item)

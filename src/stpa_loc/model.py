@@ -65,13 +65,9 @@ class InvalidModel(Exception):
 class Vocabulary(Enum):
     def __new__(cls, token: str, surface: str = ""):
         member = object.__new__(cls)
-        member._value_ = token
+        member._value_ = member.token = token
         member.surface = surface
         return member
-
-    @property
-    def token(self) -> str:
-        return self.value
 
     @property
     def rank(self) -> int:
@@ -80,7 +76,7 @@ class Vocabulary(Enum):
 
     @classmethod
     def tokens(cls) -> tuple[str, ...]:
-        return tuple(m.value for m in cls)
+        return _token_table(cls)
 
 
 class LifecyclePhase(Vocabulary):
@@ -231,6 +227,11 @@ def in_declaration_order(values: Iterable[Vocabulary]) -> list:
 @functools.cache
 def _rank_table(cls: type[Vocabulary]) -> dict[Vocabulary, int]:
     return {member: i for i, member in enumerate(cls)}
+
+
+@functools.cache
+def _token_table(cls: type[Vocabulary]) -> tuple[str, ...]:
+    return tuple(member.token for member in cls)
 
 
 # --------------------------------------------------------------------------
@@ -417,8 +418,8 @@ class LossScenario:
 class ControlStructureModel:
     """A control structure, keyed by id in each collection.
 
-    A model is a value: its validation result is computed once, on first
-    use of :attr:`diagnostics`, so its mappings must not be mutated after
+    A model is a value: its validation result and its fingerprint are each
+    computed once, on first use, so its mappings must not be mutated after
     construction. Build a changed model with ``dataclasses.replace``.
     """
 
@@ -459,8 +460,12 @@ class ControlStructureModel:
 
     @functools.cached_property
     def diagnostics(self) -> tuple[Diagnostic, ...]:
-        """validate_model's result for this model, computed on first use."""
+        """validate_model's result for this model; the two share one slot."""
         return tuple(validate_model(self))
+
+    @functools.cached_property
+    def _fingerprint(self) -> str:
+        return _digest(self)
 
 
 # --------------------------------------------------------------------------
@@ -530,8 +535,17 @@ def validate_model(model: ControlStructureModel) -> list[Diagnostic]:
     """Check every structural invariant, returning one diagnostic per violation.
 
     Never raises; an empty result means the model is well-formed. Output
-    order is deterministic for a given model.
+    order is deterministic for a given model. The checks run once per
+    model: the result is kept as ``model.diagnostics``, and a later call,
+    or a read of that attribute, returns it.
     """
+    cached = model.__dict__.get("diagnostics")
+    if cached is None:
+        cached = model.__dict__["diagnostics"] = tuple(_check(model))
+    return list(cached)
+
+
+def _check(model: ControlStructureModel) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
 
     # identifier shape and key consistency
@@ -648,13 +662,18 @@ def validate_model(model: ControlStructureModel) -> list[Diagnostic]:
 
 
 def model_fingerprint(model: ControlStructureModel) -> str:
-    """Content digest of a valid model, independent of declaration order.
+    """Content digest of a valid model, independent of declaration order,
+    computed once per model.
 
-    Raises InvalidModel when validate_model reports any Error.
+    Raises InvalidModel, on every call, when validate_model reports any Error.
     """
+    _require_valid(model)
+    return model._fingerprint
+
+
+def _digest(model: ControlStructureModel) -> str:
     import hashlib  # imported here: it loads OpenSSL, which most commands never need
 
-    _require_valid(model)
     payload = {
         "name": model.name,
         "lifecycle": model.lifecycle.token,

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import json
 import os
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stpa_loc.analysis import (
+    AnalysisError,
     DanglingReference,
     DuplicateId,
     Ledger,
@@ -832,3 +834,45 @@ def test_ledger_load_matches_registering_each_record(host, tmp_path):
     for record_id, component in entries:
         expected = ledger_register(expected, record(record_id, component))
     assert ledger_load(path, host) == expected
+
+
+RECORD_FIELDS = ("id", "description", "component", "severity", "opened_at", "closed_at", "source")
+GOOD_RECORD = {
+    "id": "V-1",
+    "description": "d",
+    "component": "P",
+    "severity": "low",
+    "opened_at": T0.isoformat(),
+    "closed_at": None,
+    "source": "audit",
+}
+field_words = st.sampled_from(["V-1", "V-2", "C", "P", "Ghost", "high", "incident", ""])
+timestamps = st.sampled_from(
+    ["2026-01-01", "2026-01-01T00:00:00", "2025-12-31T00:00:00+00:00", "0001-01-01T00:00:00+01:00",
+     "9999-12-31T23:59:59-01:00", "2026-13-01T00:00:00+00:00"]
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+record_lines = st.builds(
+    lambda changes, dropped: json.dumps(
+        {k: v for k, v in {**GOOD_RECORD, **changes}.items() if k not in dropped}
+    ).encode(),
+    st.dictionaries(st.sampled_from(RECORD_FIELDS), field_words | timestamps | json_values, max_size=3),
+    st.sets(st.sampled_from(RECORD_FIELDS), max_size=2),
+)
+ledger_lines = record_lines | st.text(max_size=20).map(str.encode) | st.binary(max_size=20)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(ledger_lines, max_size=5))
+def test_ledger_load_raises_only_ledger_errors(host, tmp_path, lines):
+    path = tmp_path / "ledger.jsonl"
+    path.write_bytes(b"\n".join(lines))
+    try:
+        loaded = ledger_load(path, host)
+    except (LedgerFormatError, AnalysisError):
+        return
+    assert len(loaded) <= len(lines)

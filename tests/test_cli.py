@@ -12,6 +12,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import GOLDEN_DIR, MODEL_PATH, SCENARIOS_PATH, run_cli
 from stpa_loc import analysis
@@ -830,3 +832,83 @@ def test_closed_stdout_pipe_exits_141_without_traceback(tmp_path):
             stream.close()
     assert code == 141
     assert stderr.getvalue() == ""
+
+
+# --------------------------------------------------------------------------
+# In-process fuzz: mutated copies of the bundled model and scenarios and of a
+# small ledger, run through every command that reads them. Whatever the
+# bytes, each command must end with a documented exit code, not an exception.
+
+FUZZ_LEDGER = "".join(
+    json.dumps(
+        {
+            "id": f"V-{i}",
+            "description": f"weakness {i}",
+            "component": "ChatMonitor",
+            "severity": "low",
+            "opened_at": OPENED,
+            "closed_at": CLOSED if i == 2 else None,
+            "source": "audit",
+        }
+    )
+    + "\n"
+    for i in range(1, 4)
+).encode()
+
+FUZZ_PIECES = [
+    b'"', b"\\", b"\\q", b"{", b"}", b":", b",", b"\n", b"\r", b"\t", b" ", b"#", b"\xff", b"\xc3", "é".encode(),
+    b"x" * 70, b"-", b"null", b"[", b"]", b"[" * 3000, b"0001-01-01T00:00:00+01:00", b"9999-12-31T23:59:59-01:00",
+    b"\n  via X", b"\n  , X", b"\n\t# c", b"uca: CA-1-not_provided", b"catalog: NO-SUCH-ENTRY", b"type_b",
+    b"origin: Ghost", b'"component": "Ghost"', b'"severity": 3', b'"id": "V-1"', b"scenario", b"system",
+]
+
+byte_edits = st.lists(
+    st.tuples(st.integers(0, 999), st.sampled_from(["insert", "replace", "delete"]), st.sampled_from(FUZZ_PIECES)),
+    max_size=4,
+)
+
+
+def mutate(data: bytes, steps) -> bytes:
+    for where, how, piece in steps:
+        at = where * len(data) // 1000
+        if how == "insert":
+            data = data[:at] + piece + data[at:]
+        elif how == "replace":
+            data = data[:at] + piece + data[at + len(piece):]
+        else:
+            data = data[:at] + data[at + len(piece):]
+    return data
+
+
+@settings(
+    max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(model_edits=byte_edits, scenario_edits=byte_edits, ledger_edits=byte_edits)
+def test_mutated_inputs_end_with_a_documented_exit_code(tmp_path, monkeypatch, model_edits, scenario_edits, ledger_edits):
+    monkeypatch.delenv("STPA_LOC_CATALOG", raising=False)
+    model, scenarios, ledger = (str(tmp_path / name) for name in ("m.stpa", "s.stpa", "ledger.jsonl"))
+    Path(model).write_bytes(mutate(MODEL_PATH.read_bytes(), model_edits))
+    Path(scenarios).write_bytes(mutate(SCENARIOS_PATH.read_bytes(), scenario_edits))
+    Path(ledger).write_bytes(mutate(FUZZ_LEDGER, ledger_edits))
+    for argv in (
+        ["validate", model],
+        ["ucas", model],
+        ["prompts", model],
+        ["report", model, scenarios],
+        ["report", model, scenarios, "--format", "json", "--include-loss"],
+        add_args(ledger, model, record_id="V-9", component="ChatMonitor"),
+    ):
+        assert run_cli(argv)[0] in (0, 1, 2, 3), argv
+
+
+@pytest.mark.parametrize("moment", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"])
+def test_timestamp_outside_the_utc_range_is_a_usage_error(ledger_env, moment):
+    ledger, model = ledger_env
+    assert run_cli(add_args(ledger, model))[0] == 0
+    for argv in (
+        add_args(ledger, model, record_id="V-2", opened=moment),
+        ["ledger", "exposure", ledger, "--model", model, "--as-of", moment],
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, ""), argv
+        assert f"{moment!r} is out of range" in err

@@ -8,6 +8,7 @@ real work, so they run only on request and stay out of the default run:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from datetime import datetime, timedelta, timezone
@@ -146,6 +147,22 @@ def test_parse_model_grows_linearly():
     assert growth(make_run) < BOUND
 
 
+def test_parse_model_with_a_comment_run_grows_linearly():
+    """A run of comment lines before the closing brace, reached by the fast
+    prefix and, after a tab-indented last item, by the token path."""
+
+    def make_run(n):
+        source = serialize_model(synthetic(n)[0])
+        last_item = source.rindex("\n  ", 0, -3) + 1
+        run = "  # note\n" * (3 * n)
+        fast = source.replace("\n}", "\n" + run + "}")
+        tabbed = (source[:last_item] + "\t" + source[last_item + 2 :]).replace("\n}", "\n" + run + "}")
+        assert parse_model(fast)[1] == [] and [d.rule_code for d in parse_model(tabbed)[1]] == ["TabIndent"]
+        return lambda: (parse_model(fast), parse_model(tabbed))
+
+    assert growth(make_run) < BOUND
+
+
 def test_parse_scenarios_grows_linearly():
     def make_run(n):
         model, scenarios = synthetic(n)
@@ -159,7 +176,7 @@ def test_parse_scenarios_grows_linearly():
 def test_validate_model_grows_linearly():
     def make_run(n):
         model = synthetic(n)[0]
-        return lambda: validate_model(model)
+        return lambda: validate_model(dataclasses.replace(model))
 
     assert growth(make_run) < BOUND
 
@@ -167,7 +184,7 @@ def test_validate_model_grows_linearly():
 def test_model_fingerprint_grows_linearly():
     def make_run(n):
         model = synthetic(n)[0]
-        return lambda: model_fingerprint(model)
+        return lambda: model_fingerprint(dataclasses.replace(model))
 
     assert growth(make_run) < BOUND
 

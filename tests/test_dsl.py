@@ -808,6 +808,7 @@ FAST_MODEL_EDITS = [
     pytest.param('context "idle" hazards H-1', 'context "idle"\n\t# c\n  hazards H-1', id="hazards-after-tab-comment"),
     pytest.param("  loss L-2", "\tloss L-2", id="tab-indent"),
     pytest.param("  loss L-2", "  \t loss L-2", id="tab-after-spaces"),
+    pytest.param("  loss L-2", "\t\n \t# c\n  loss L-2", id="tab-only-lines"),
     pytest.param("loss L-2", f"loss {LONG_ID}", id="65-character-id"),
     pytest.param("loss L-2", f"loss {LONG_ID[:64]}", id="64-character-id"),
     pytest.param('"another loss"', '"another \\q loss"', id="bad-escape"),
@@ -938,6 +939,32 @@ def test_token_path_lexes_only_the_lines_around_each_break(monkeypatch):
     monkeypatch.setattr(dsl, "_lex", recording_lex)
     assert_model_parse_matches_token_path(source)
     assert chunks == [(i + 1, 1) for i in breaks] + [(len(lines) - 1, 1)]
+
+
+@pytest.mark.parametrize(
+    "before, after",
+    [
+        pytest.param("  loss L-7 ", "\tloss L-7 ", id="tab-indented-item"),
+        pytest.param("  loss L-7 ", "\t\n  loss L-7 ", id="tab-only-line"),
+        pytest.param("  loss L-7 ", "\t# note\n  loss L-7 ", id="tab-indented-comment"),
+    ],
+)
+def test_a_tab_indented_line_leaves_the_item_before_it_to_the_prefix(monkeypatch, before, after):
+    """Only the tab-indented line and the first word of the next reach the lexer."""
+    chunks = []
+    real_lex = dsl._lex
+
+    def recording_lex(source, file, uca_limit, pos, line, end=None):
+        chunks.append((line, source.count("\n", pos, end)))
+        return real_lex(source, file, uca_limit, pos, line, end)
+
+    source = serialize_model(synthetic(50)[0])
+    assert source.split("\n")[51].startswith(before)
+    source = source.replace(before, after, 1)
+    monkeypatch.setattr(dsl, "_lex", recording_lex)
+    assert_model_parse_matches_token_path(source)
+    assert [d.rule_code for d in parse_model(source)[1]] == ["TabIndent"]
+    assert chunks[0] == (52, 1)
 
 
 def differential_bases() -> tuple[list[str], list[str]]:

@@ -10,6 +10,7 @@ keys, does not show up here; the timing checks still cover it.
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from datetime import datetime, timezone
 
@@ -26,6 +27,7 @@ from stpa_loc.model import (
     LedgerSource,
     LifecyclePhase,
     RecordSeverity,
+    model_fingerprint,
     validate_model,
 )
 from stpa_loc.report import TableDirection, build_table, render_csv, render_json, render_markdown
@@ -114,10 +116,20 @@ def tab_indent(source: str, every: int) -> tuple[str, int]:
     return "\n".join(lines), len(tabbed)
 
 
-def parse_model_run(every: int):
+def commented(source: str) -> str:
+    """``source`` with a comment line after each line of its body, and as
+    many again in one run before its closing brace."""
+    head, *body, close, tail = source.split("\n")
+    notes = [f"  # note {i}" for i in range(len(body))]
+    return "\n".join([head, *(line for pair in zip(body, notes) for line in pair), *notes, close, tail])
+
+
+def parse_model_run(every: int, comments: bool = False):
     def make_run(n):
         model = synthetic(n)[0]
         source, tabbed = tab_indent(serialize_model(model), every)
+        if comments:
+            source = commented(source)
         parsed, diags = parse_model(source)
         assert parsed == model
         assert [d.rule_code for d in diags] == ["TabIndent"] * tabbed
@@ -139,8 +151,15 @@ def parse_scenarios_run(every: int):
 
 
 def validate_run(n):
+    """A model keeps its validation result, so each call validates a fresh copy."""
     model = synthetic(n)[0]
-    return lambda: validate_model(model)
+    return lambda: validate_model(dataclasses.replace(model))
+
+
+def fingerprint_run(n):
+    """A model keeps its fingerprint, so each call digests a fresh copy."""
+    model = synthetic(n)[0]
+    return lambda: model_fingerprint(dataclasses.replace(model))
 
 
 def enumerate_run(n):
@@ -184,10 +203,13 @@ def ledger_register_run(n):
         pytest.param(parse_model_run(0), id="parse_model-fast"),
         pytest.param(parse_model_run(1), id="parse_model-tokens"),
         pytest.param(parse_model_run(10), id="parse_model-resume"),
+        pytest.param(parse_model_run(0, comments=True), id="parse_model-comments"),
+        pytest.param(parse_model_run(1, comments=True), id="parse_model-comments-tokens"),
         pytest.param(parse_scenarios_run(0), id="parse_scenarios-fast"),
         pytest.param(parse_scenarios_run(1), id="parse_scenarios-tokens"),
         pytest.param(parse_scenarios_run(10), id="parse_scenarios-resume"),
         pytest.param(validate_run, id="validate_model"),
+        pytest.param(fingerprint_run, id="model_fingerprint"),
         pytest.param(enumerate_run, id="enumerate_ucas"),
         pytest.param(prompts_run, id="generate_prompts"),
         pytest.param(ledger_register_run, id="ledger_register"),

@@ -5,7 +5,8 @@ import dataclasses
 import pytest
 from hypothesis import given, settings
 
-from stpa_loc.analysis import StageKind
+from stpa_loc import model as model_mod
+from stpa_loc.analysis import StageKind, enumerate_ucas
 from stpa_loc.model import (
     AgentNature,
     AiCharacteristic,
@@ -70,6 +71,12 @@ def test_tokens_round_trip():
         for member in cls:
             assert cls(member.token) is member
             assert member.value == member.token
+
+
+def test_tokens_are_one_tuple_per_vocabulary():
+    for cls in ALL_VOCABULARIES:
+        assert cls.tokens() == tuple(member.value for member in cls)
+        assert cls.tokens() is cls.tokens()
 
 
 def test_every_member_has_a_surface_form():
@@ -428,6 +435,47 @@ def test_replace_gives_a_fresh_diagnostics_cache():
     assert not has_errors(model.diagnostics)
     # the cached result takes no part in equality
     assert dataclasses.replace(broken, components=model.components) == model
+
+
+def test_each_model_value_is_validated_and_fingerprinted_once(monkeypatch):
+    checked, digested = [], []
+    real_check, real_digest = model_mod._check, model_mod._digest
+    monkeypatch.setattr(model_mod, "_check", lambda m: checked.append(m) or real_check(m))
+    monkeypatch.setattr(model_mod, "_digest", lambda m: digested.append(m) or real_digest(m))
+    model = minimal_model(
+        losses=[Loss(id="L-1", description="a loss")],
+        hazards=[Hazard(id="H-1", description="a hazard", leads_to={"L-1"})],
+        control_actions=[ControlAction(id="CA-1", label="act", source="C", target="P")],
+    )
+
+    diagnostics = validate_model(model)
+    assert model.diagnostics == tuple(diagnostics)
+    assert len(enumerate_ucas(model)) == 4
+    assert len({model_fingerprint(model) for _ in range(3)}) == 1
+    assert [id(m) for m in checked] == [id(model)]
+    assert [id(m) for m in digested] == [id(model)]
+
+    # a replaced model is a new value: it validates and digests afresh
+    fresh = dataclasses.replace(model)
+    assert model_fingerprint(fresh) == model_fingerprint(model)
+    assert validate_model(fresh) == diagnostics
+    assert [id(m) for m in checked] == [id(model), id(fresh)]
+    assert [id(m) for m in digested] == [id(model), id(fresh)]
+
+    # an invalid model raises on every call, and is never digested
+    broken = dataclasses.replace(model, components={})
+    for _ in range(3):
+        with pytest.raises(InvalidModel):
+            model_fingerprint(broken)
+    assert [id(m) for m in checked] == [id(model), id(fresh), id(broken)]
+    assert len(digested) == 2
+
+
+def test_validate_model_returns_a_list_the_caller_owns():
+    model = minimal_model(hazards=[Hazard(id="H-1", description="h", leads_to={"L-9"})])
+    first = validate_model(model)
+    first.clear()
+    assert validate_model(model) == list(model.diagnostics) != []
 
 
 @settings(max_examples=60, deadline=None)
