@@ -518,16 +518,24 @@ def ledger_exposure(ledger: Ledger, as_of: datetime) -> dict:
     }
 
 
-def _record_to_json(record: VulnerabilityRecord) -> dict:
-    return {
-        "id": record.id,
-        "description": record.description,
-        "component": record.component,
-        "severity": record.severity.token,
-        "opened_at": record.opened_at.isoformat(),
-        "closed_at": record.closed_at.isoformat() if record.closed_at else None,
-        "source": record.source.token,
-    }
+# One ledger line is what ``json.dumps`` with ``ensure_ascii=False`` gives
+# for the record's fields in this order. Only the three free-text fields
+# can need escaping; tokens and ISO timestamps are written as they are.
+_encode_text = json.JSONEncoder(ensure_ascii=False).encode
+_SEVERITIES = {member.token: member for member in RecordSeverity}
+_SOURCES = {member.token: member for member in LedgerSource}
+_TEXT_FIELDS = ("id", "description", "component", "severity", "opened_at", "source")
+_CLOSED_TEXT_FIELDS = ("closed_at", *_TEXT_FIELDS)
+
+
+def _record_line(record: VulnerabilityRecord) -> str:
+    closed_at = "null" if record.closed_at is None else f'"{record.closed_at.isoformat()}"'
+    return (
+        f'{{"id": {_encode_text(record.id)}, "description": {_encode_text(record.description)}, '
+        f'"component": {_encode_text(record.component)}, "severity": "{record.severity.token}", '
+        f'"opened_at": "{record.opened_at.isoformat()}", "closed_at": {closed_at}, '
+        f'"source": "{record.source.token}"}}\n'
+    )
 
 
 def _record_from_json(payload: object) -> VulnerabilityRecord:
@@ -538,22 +546,20 @@ def _record_from_json(payload: object) -> VulnerabilityRecord:
     """
     if not isinstance(payload, dict):
         raise ValueError(f"ledger line is not a JSON object: {payload!r}")
-
-    def text(name: str) -> str:
-        value = payload[name]
-        if not isinstance(value, str):
-            raise ValueError(f"ledger field {name!r} is not a string: {value!r}")
-        return value
-
-    closed_at = text("closed_at") if payload.get("closed_at") is not None else None
+    closed_at = payload.get("closed_at")
+    for name in _TEXT_FIELDS if closed_at is None else _CLOSED_TEXT_FIELDS:
+        if not isinstance(payload[name], str):
+            raise ValueError(f"ledger field {name!r} is not a string: {payload[name]!r}")
+    severity, source = payload["severity"], payload["source"]
     return VulnerabilityRecord(
-        id=text("id"),
-        description=text("description"),
-        component=text("component"),
-        severity=RecordSeverity(text("severity")),
-        opened_at=datetime.fromisoformat(text("opened_at")),
+        id=payload["id"],
+        description=payload["description"],
+        component=payload["component"],
+        # an unknown token falls through to the enum, which names it
+        severity=_SEVERITIES.get(severity) or RecordSeverity(severity),
+        opened_at=datetime.fromisoformat(payload["opened_at"]),
         closed_at=datetime.fromisoformat(closed_at) if closed_at else None,
-        source=LedgerSource(text("source")),
+        source=_SOURCES.get(source) or LedgerSource(source),
     )
 
 
@@ -564,15 +570,11 @@ def ledger_save(ledger: Ledger, path: str | Path) -> None:
     is synced and then renamed over the ledger, so a failed or interrupted
     save leaves the old ledger whole.
     """
-    lines = [
-        json.dumps(_record_to_json(record), ensure_ascii=False)
-        for record in ledger.records
-    ]
     target = Path(os.path.realpath(path))  # replace a symlink's target, not the link
     temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(temp, "w", encoding="utf-8") as handle:
-            handle.write("".join(line + "\n" for line in lines))
+            handle.write("".join(map(_record_line, ledger.records)))
             handle.flush()
             os.fsync(handle.fileno())
         if target.exists():
@@ -601,7 +603,9 @@ def ledger_load(path: str | Path, model: ControlStructureModel) -> Ledger:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise LedgerFormatError(str(exc), Path(path).read_bytes().count(b"\n", 0, exc.start) + 1) from exc
-    for number, line in enumerate(text.splitlines(), 1):
+    # Only "\n" ends a line: the other breaks str.splitlines() knows, such as
+    # U+2028, are written raw inside strings.
+    for number, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
         try:

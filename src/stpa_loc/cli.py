@@ -98,6 +98,16 @@ def _timestamp(text: str) -> datetime:
     return value
 
 
+def _utf8(text: str) -> str:
+    # argv bytes that are not UTF-8 arrive as lone surrogates, which the
+    # ledger could never write back
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not UTF-8 text") from None
+    return text
+
+
 def _characteristic(text: str) -> AiCharacteristic:
     try:
         return AiCharacteristic(text)
@@ -320,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_add = ledger_sub.add_parser("add", help="register a vulnerability record")
     p_add.add_argument("ledger")
     p_add.add_argument("--model", required=True)
-    p_add.add_argument("--id", required=True)
-    p_add.add_argument("--description", required=True)
-    p_add.add_argument("--component", required=True)
+    p_add.add_argument("--id", required=True, type=_utf8)
+    p_add.add_argument("--description", required=True, type=_utf8)
+    p_add.add_argument("--component", required=True, type=_utf8)
     p_add.add_argument("--severity", required=True, choices=RecordSeverity.tokens())
     p_add.add_argument("--source", required=True, choices=LedgerSource.tokens())
     p_add.add_argument("--opened-at", type=_timestamp, default=None)
@@ -331,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_resolve = ledger_sub.add_parser("resolve", help="close an open record")
     p_resolve.add_argument("ledger")
     p_resolve.add_argument("--model", required=True)
-    p_resolve.add_argument("--id", required=True)
+    p_resolve.add_argument("--id", required=True, type=_utf8)
     p_resolve.add_argument("--closed-at", type=_timestamp, default=None)
     p_resolve.set_defaults(func=cmd_ledger)
 

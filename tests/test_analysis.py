@@ -24,6 +24,7 @@ from stpa_loc.analysis import (
     UnknownComponentKind,
     UnknownRecord,
     VulnerabilityRecord,
+    _record_line,
     _resolve_uca,
     classify_scenario,
     derive_constraints,
@@ -857,11 +858,12 @@ json_values = st.recursive(
     max_leaves=4,
 )
 record_lines = st.builds(
-    lambda changes, dropped: json.dumps(
-        {k: v for k, v in {**GOOD_RECORD, **changes}.items() if k not in dropped}
+    lambda changes, dropped, ascii: json.dumps(
+        {k: v for k, v in {**GOOD_RECORD, **changes}.items() if k not in dropped}, ensure_ascii=ascii
     ).encode(),
     st.dictionaries(st.sampled_from(RECORD_FIELDS), field_words | timestamps | json_values, max_size=3),
     st.sets(st.sampled_from(RECORD_FIELDS), max_size=2),
+    st.booleans(),  # ensure_ascii=False writes non-ASCII raw, as ledger_save does
 )
 ledger_lines = record_lines | st.text(max_size=20).map(str.encode) | st.binary(max_size=20)
 
@@ -876,3 +878,72 @@ def test_ledger_load_raises_only_ledger_errors(host, tmp_path, lines):
     except (LedgerFormatError, AnalysisError):
         return
     assert len(loaded) <= len(lines)
+
+
+@pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"], ids=["NEL", "LS", "PS"])
+def test_line_separators_inside_a_record_round_trip(host, tmp_path, separator):
+    """str.splitlines() breaks at these too, but ledger_save writes them raw."""
+    ledger = ledger_register(Ledger.for_model(host), record(f"V-{separator}", description=f"a{separator}b"))
+    ledger = ledger_register(ledger, record("V-2", "C"))
+    path = tmp_path / "ledger.jsonl"
+    ledger_save(ledger, path)
+    assert path.read_bytes().count(b"\n") == 2
+    assert ledger_load(path, host) == ledger
+
+
+def old_record_fields(rec):
+    """The field dict ledger lines were once written from with json.dumps."""
+    return {
+        "id": rec.id,
+        "description": rec.description,
+        "component": rec.component,
+        "severity": rec.severity.token,
+        "opened_at": rec.opened_at.isoformat(),
+        "closed_at": rec.closed_at.isoformat() if rec.closed_at else None,
+        "source": rec.source.token,
+    }
+
+
+awkward_text = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",))
+    | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\x85", "\u2028", "\u2029", "\U0001f600"]),
+    max_size=12,
+)
+moments = st.datetimes(
+    min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30),
+    timezones=st.sampled_from([UTC, timezone(timedelta(hours=5, minutes=30)), timezone(timedelta(hours=-8))]),
+)
+
+
+@st.composite
+def records(draw, record_id=awkward_text, component=awkward_text):
+    opened = draw(moments)
+    closed = draw(st.none() | st.timedeltas(min_value=timedelta(0), max_value=timedelta(days=400)))
+    if closed is not None and closed > datetime(9999, 12, 30) - opened.astimezone(UTC).replace(tzinfo=None):
+        closed = None
+    return VulnerabilityRecord(
+        id=draw(record_id),
+        description=draw(awkward_text),
+        component=draw(component),
+        severity=draw(st.sampled_from(RecordSeverity)),
+        opened_at=opened,
+        source=draw(st.sampled_from(LedgerSource)),
+        closed_at=None if closed is None else opened + closed,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(rec=records())
+def test_record_line_is_the_json_dumps_line(rec):
+    assert _record_line(rec) == json.dumps(old_record_fields(rec), ensure_ascii=False) + "\n"
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(recs=st.lists(records(component=st.sampled_from(["C", "P"])), max_size=6, unique_by=lambda r: r.id))
+def test_ledger_save_then_load_returns_the_records(host, tmp_path, recs):
+    ledger = Ledger.for_model(host)
+    for rec in recs:
+        ledger = ledger_register(ledger, rec)
+    path = tmp_path / "ledger.jsonl"
+    ledger_save(ledger, path)
+    assert ledger_load(path, host) == ledger

@@ -757,6 +757,53 @@ def test_ledger_invalid_model_fails(ledger_env, tmp_path):
     assert "MissingController" in err
 
 
+@pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"], ids=["NEL", "LS", "PS"])
+def test_ledger_keeps_working_after_a_line_separator_in_a_description(ledger_env, separator):
+    ledger, model = ledger_env
+    argv = add_args(ledger, model)
+    argv[argv.index("--description") + 1] = f"a{separator}b"
+    assert run_cli(argv) == (0, "", "")
+    code, out, err = run_cli(["ledger", "exposure", ledger, "--model", model, "--as-of", CLOSED])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["open_count"] == 1
+    assert read_records(ledger)[0]["description"] == f"a{separator}b"
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--description", lambda ledger, model: add_args(ledger, model, record_id="V-2") + ["--description", "bad\udcffbyte"]),
+        ("--id", lambda ledger, model: add_args(ledger, model, record_id="V-\udcff")),
+        ("--component", lambda ledger, model: add_args(ledger, model, record_id="V-2", component="P\udcff")),
+        ("--id", lambda ledger, model: ["ledger", "resolve", ledger, "--model", model, "--id", "V-\udcff"]),
+    ],
+    ids=["add-description", "add-id", "add-component", "resolve-id"],
+)
+def test_non_utf8_argument_is_a_usage_error(ledger_env, flag, argv):
+    """Undecodable argv bytes arrive as lone surrogates, which no ledger line can hold."""
+    ledger, model = ledger_env
+    assert run_cli(add_args(ledger, model))[0] == 0
+    before = Path(ledger).read_bytes()
+    code, out, err = run_cli(argv(ledger, model))
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: " in err
+    assert "is not UTF-8 text" in err
+    assert Path(ledger).read_bytes() == before
+
+
+def test_non_utf8_argv_bytes_are_a_usage_error(ledger_env):
+    ledger, model = ledger_env
+    assert run_cli(add_args(ledger, model))[0] == 0
+    before = Path(ledger).read_bytes()
+    env = dict(os.environ, PYTHONPATH=str(Path(analysis.__file__).parent.parent), LC_ALL="C.UTF-8")
+    argv = [os.fsencode(arg) for arg in add_args(ledger, model, record_id="V-2")] + [b"--description", b"bad\xffbyte"]
+    done = subprocess.run([sys.executable, "-m", "stpa_loc.cli", *argv], env=env, capture_output=True, timeout=60)
+    assert done.returncode == 2
+    assert b"argument --description: " in done.stderr
+    assert b"Traceback" not in done.stderr
+    assert Path(ledger).read_bytes() == before
+
+
 # --- determinism ----------------------------------------------------------------
 
 

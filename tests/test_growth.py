@@ -12,11 +12,19 @@ from __future__ import annotations
 
 import dataclasses
 import sys
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from stpa_loc.analysis import Ledger, VulnerabilityRecord, enumerate_ucas, ledger_register, trace_pathway
+from stpa_loc.analysis import (
+    Ledger,
+    VulnerabilityRecord,
+    enumerate_ucas,
+    ledger_load,
+    ledger_register,
+    ledger_save,
+    trace_pathway,
+)
 from stpa_loc.catalog import generate_prompts, load_catalog
 from stpa_loc.dsl import parse_model, parse_scenarios, serialize_model
 from stpa_loc.model import (
@@ -178,17 +186,37 @@ def prompts_run(n):
     return lambda: generate_prompts(catalog, model)
 
 
+def ledger_record(i):
+    opened = datetime(2026, 1, 1, tzinfo=timezone.utc)
+    closed = opened + timedelta(days=i) if i % 2 else None
+    severity = list(RecordSeverity)[i % 3]
+    return VulnerabilityRecord(f"V-{i}", f"gap {i}", "CP"[i % 2], severity, opened, LedgerSource.AUDIT, closed)
+
+
+def ledger_of(n):
+    return Ledger("fingerprint", frozenset({"C", "P"}), tuple(map(ledger_record, range(n))))
+
+
 def ledger_register_run(n):
     """One registration on a ledger of n records: O(n) by design, because a
     ledger is a value and each call builds a new one."""
-
-    def record(i):
-        opened = datetime(2026, 1, 1, tzinfo=timezone.utc)
-        return VulnerabilityRecord(f"V-{i}", "gap", "C", RecordSeverity.LOW, opened, LedgerSource.AUDIT)
-
-    ledger = Ledger("fingerprint", frozenset({"C"}), tuple(map(record, range(n))))
-    new = record(n)
+    ledger, new = ledger_of(n), ledger_record(n)
     return lambda: ledger_register(ledger, new)
+
+
+# The two file cases use ledger.jsonl in the working directory, which the
+# test points at a fresh temporary folder.
+
+
+def ledger_load_run(n):
+    ledger_save(ledger_of(n), "ledger.jsonl")
+    model = synthetic(1)[0]
+    return lambda: ledger_load("ledger.jsonl", model)
+
+
+def ledger_save_run(n):
+    ledger = ledger_of(n)
+    return lambda: ledger_save(ledger, "ledger.jsonl")
 
 
 @pytest.mark.parametrize(
@@ -213,7 +241,10 @@ def ledger_register_run(n):
         pytest.param(enumerate_run, id="enumerate_ucas"),
         pytest.param(prompts_run, id="generate_prompts"),
         pytest.param(ledger_register_run, id="ledger_register"),
+        pytest.param(ledger_load_run, id="ledger_load"),
+        pytest.param(ledger_save_run, id="ledger_save"),
     ],
 )
-def test_executed_bytecodes_grow_linearly(make_run):
+def test_executed_bytecodes_grow_linearly(make_run, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert opcode_growth(make_run) < BOUND
