@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -526,6 +527,7 @@ _SEVERITIES = {member.token: member for member in RecordSeverity}
 _SOURCES = {member.token: member for member in LedgerSource}
 _TEXT_FIELDS = ("id", "description", "component", "severity", "opened_at", "source")
 _CLOSED_TEXT_FIELDS = ("closed_at", *_TEXT_FIELDS)
+_SURROGATE = re.compile("[\ud800-\udfff]")  # a JSON escape can decode to one, which no UTF-8 file holds
 
 
 def _record_line(record: VulnerabilityRecord) -> str:
@@ -548,8 +550,11 @@ def _record_from_json(payload: object) -> VulnerabilityRecord:
         raise ValueError(f"ledger line is not a JSON object: {payload!r}")
     closed_at = payload.get("closed_at")
     for name in _TEXT_FIELDS if closed_at is None else _CLOSED_TEXT_FIELDS:
-        if not isinstance(payload[name], str):
-            raise ValueError(f"ledger field {name!r} is not a string: {payload[name]!r}")
+        value = payload[name]
+        if not isinstance(value, str):
+            raise ValueError(f"ledger field {name!r} is not a string: {value!r}")
+        if not value.isascii() and _SURROGATE.search(value):
+            raise ValueError(f"ledger field {name!r} holds a lone surrogate: {value!r}")
     severity, source = payload["severity"], payload["source"]
     return VulnerabilityRecord(
         id=payload["id"],
@@ -558,7 +563,7 @@ def _record_from_json(payload: object) -> VulnerabilityRecord:
         # an unknown token falls through to the enum, which names it
         severity=_SEVERITIES.get(severity) or RecordSeverity(severity),
         opened_at=datetime.fromisoformat(payload["opened_at"]),
-        closed_at=datetime.fromisoformat(closed_at) if closed_at else None,
+        closed_at=None if closed_at is None else datetime.fromisoformat(closed_at),
         source=_SOURCES.get(source) or LedgerSource(source),
     )
 

@@ -20,7 +20,7 @@ import functools
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .model import (
     AgentNature,
@@ -151,15 +151,15 @@ def _split_multi(cell: str) -> list[str]:
     return [part for part in cell.split("|") if part]
 
 
+def _parse_enum(cls: type[Vocabulary], token: str, column: str, row: int) -> Vocabulary:
+    try:
+        return cls(token)
+    except ValueError:
+        raise CatalogFormatError(f"unknown {column} token {token!r}", row) from None
+
+
 def _parse_enum_set(cls: type[Vocabulary], cell: str, column: str, row: int) -> frozenset:
-    values = []
-    for token in _split_multi(cell):
-        try:
-            values.append(cls(token))
-        except ValueError:
-            raise CatalogFormatError(
-                f"unknown {column} token {token!r}", row
-            ) from None
+    values = [_parse_enum(cls, token, column, row) for token in _split_multi(cell)]
     if not values:
         raise CatalogFormatError(f"empty {column} column", row)
     return frozenset(values)
@@ -176,12 +176,7 @@ def _parse_row(cols: list[str], row: int) -> CatalogEntry:
             )
 
     lifecycle = _parse_enum_set(LifecyclePhase, fields["lifecycle"], "lifecycle", row)
-    try:
-        scenario_type = ScenarioType(fields["scenario_type"])
-    except ValueError:
-        raise CatalogFormatError(
-            f"unknown scenario_type token {fields['scenario_type']!r}", row
-        ) from None
+    scenario_type = _parse_enum(ScenarioType, fields["scenario_type"], "scenario_type", row)
     sub_types = _parse_enum_set(ScenarioSubType, fields["sub_types"], "sub_types", row)
     factors = _parse_enum_set(
         CausalFactorType, fields["causal_factors"], "causal_factors", row
@@ -189,12 +184,7 @@ def _parse_row(cols: list[str], row: int) -> CatalogEntry:
     characteristics = _parse_enum_set(
         AiCharacteristic, fields["ai_characteristics"], "ai_characteristics", row
     )
-    try:
-        origin = ComponentKind(fields["origin_component"])
-    except ValueError:
-        raise CatalogFormatError(
-            f"unknown origin_component token {fields['origin_component']!r}", row
-        ) from None
+    origin = _parse_enum(ComponentKind, fields["origin_component"], "origin_component", row)
 
     illegal = sub_types - set(SUBTYPES_FOR_TYPE[scenario_type])
     if illegal:
@@ -319,7 +309,7 @@ def filter_entries(
     return selected
 
 
-def generate_prompts(catalog: Catalog, model: ControlStructureModel) -> list[Prompt]:
+def generate_prompts(catalog: Iterable[CatalogEntry], model: ControlStructureModel) -> list[Prompt]:
     """Instantiate catalog entries as questions about the model's components.
 
     A component receives a prompt from every entry whose origin kind it

@@ -168,15 +168,11 @@ def cmd_prompts(args: argparse.Namespace) -> int:
         return _fail(f"bad catalog: {exc}", EXIT_IO)
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
+    if args.characteristic is not None:
+        cat = catalog_mod.filter_entries(cat, ai_characteristic=args.characteristic)
     prompts = catalog_mod.generate_prompts(cat, model)
     if args.component is not None:
         prompts = [p for p in prompts if p.component_id == args.component]
-    if args.characteristic is not None:
-        prompts = [
-            p
-            for p in prompts
-            if args.characteristic in cat[p.catalog_ref].ai_characteristics
-        ]
     for prompt in prompts:
         sys.stdout.write(f"{prompt.catalog_ref}\t{prompt.component_id}\t{prompt.question}\n")
     return EXIT_OK

@@ -26,8 +26,10 @@ well-formed `system "..." {` or `scenarios ... {` header, each one-line model
 item, or `scenario` block with its fields in grammar order, that lexes without
 a diagnostic and that the next significant line does not extend (`,`, `{`,
 `via`, `enforced_by`, `hazards`) is one pattern match, built straight into its
-record. At a line that is not, the token path takes over up to the first word
-of the next line that the prefix takes: one `re.finditer` pass over a master
+record. A vocabulary token there is any lowercase word, which the enums check
+after the match; a word they do not know sends its line to the token path.
+At a line the prefix does not take, the token path takes over up to the first
+word of the next line that it takes: one `re.finditer` pass over a master
 pattern, `_LEXEME`, then recursive descent. If the parser is at item level at
 that word, the prefix takes over again; if an item took the word, the token
 path lexes on to the next such line. Tokens carry their positions; a
@@ -91,6 +93,7 @@ from .model import (
     SourceSpan,
     UcaAnnotation,
     UcaType,
+    _COLLECTIONS,
     _require_valid,
 )
 
@@ -111,16 +114,6 @@ _AGENT_WORDS = {
 }
 
 _WORD_FOR_AGENT = {nature: word for word, nature in _AGENT_WORDS.items()}
-
-# The model collection that holds each category of declared id.
-_COLLECTIONS = {
-    "component": "components",
-    "loss": "losses",
-    "hazard": "hazards",
-    "constraint": "constraints",
-    "control action": "control_actions",
-    "feedback channel": "feedback_channels",
-}
 
 # Component attrs that set the agent nature: their words, what the parser
 # expects after the colon, and its complaint about any other word.
@@ -178,6 +171,8 @@ _ESCAPE = re.compile(r'\\(["\\]?)')
 # A scenario's `uca:` value is an id printed by `stpa-loc ucas`: a control
 # action id, a "-" and a UCA type token, so it may be that much longer.
 _UCA_ID_LIMIT = MAX_IDENTIFIER_LENGTH + 1 + max(map(len, UcaType.tokens()))
+
+_WORD = "[a-z_]+"  # a vocabulary token in the fast prefix; the enum lookup after the match checks it
 
 
 class Token(NamedTuple):
@@ -266,13 +261,11 @@ def _fast_patterns(kind: str) -> tuple[re.Pattern[str], re.Pattern[str]]:
     "scenarios" file, compiled on the first parse of one, not at import."""
     end = r"(?![A-Za-z0-9_-])"
     ident, uca_id = (rf"[A-Za-z][A-Za-z0-9_-]{{0,{n - 1}}}{end}" for n in (MAX_IDENTIFIER_LENGTH, _UCA_ID_LIMIT))
+    word = rf"{_WORD}{end}"
     rest = r"[ ]*(?:#[^\n]*)?\n"
 
     def string(name: str) -> str:
         return rf'"(?P<{name}>[^"\\\n]*(?:\\["\\][^"\\\n]*)*)"'
-
-    def words(cls) -> str:
-        return f"(?:{'|'.join(cls.tokens())}){end}"
 
     def listing(item: str) -> str:
         return rf"{item}(?:[ ]*,[ ]*{item})*"
@@ -282,7 +275,7 @@ def _fast_patterns(kind: str) -> tuple[re.Pattern[str], re.Pattern[str]]:
 
     ids = listing(ident)
     model_line = (
-        rf"(?P<lifecycle>lifecycle[ ]*:[ ]*(?P<phase>{words(LifecyclePhase)}))"
+        rf"(?P<lifecycle>lifecycle[ ]*:[ ]*(?P<phase>{word}))"
         rf"|(?P<component>(?P<keyword>{'|'.join(_COMPONENT_KEYWORDS)})[ ]+(?P<component_id>{ident})"
         rf"(?:[ ]*\{{[ ]*(?:(?:kind[ ]*:[ ]*(?P<kind>{'|'.join(_AGENT_WORDS)})"
         rf"|contains_ai[ ]*:[ ]*(?P<ai>true|false)){end}[ ]*)?(?:notes[ ]*:[ ]*{string('component_text')}[ ]*)?\}})?)"
@@ -294,14 +287,13 @@ def _fast_patterns(kind: str) -> tuple[re.Pattern[str], re.Pattern[str]]:
         rf"|(?P<channel>(?P<channel_kind>control_action|feedback)[ ]+(?P<channel_id>{ident})"
         rf"[ ]*{string('channel_text')}[ ]*from[ ]+(?P<source>{ident})[ ]+to[ ]+(?P<target>{ident})"
         rf"(?:[ ]+via[ ]+(?P<via>{ident}))?)"
-        rf"|(?P<annotate>annotate[ ]+(?P<annotate_id>{ident})[ ]+(?P<uca_type>{words(UcaType)})[ ]+context[ ]*"
+        rf"|(?P<annotate>annotate[ ]+(?P<annotate_id>{ident})[ ]+(?P<uca_type>{word})[ ]+context[ ]*"
         rf"{string('annotate_text')}(?:[ ]*hazards[ ]+(?P<hazards>{ids}))?)"
     )
     scenario = (
         rf"(?P<scenario>scenario[ ]+(?P<id>{ident})[ ]*\{{{field('origin', ident)}(?:{field('uca', uca_id)})?"
-        rf"{field('type', words(ScenarioType))}{field('sub_types', listing(words(ScenarioSubType)))}"
-        rf"{field('factors', listing(words(CausalFactorType)))}"
-        rf"(?:{field('characteristics', listing(words(AiCharacteristic)))})?(?:{field('catalog', ids)})?"
+        rf"{field('type', word)}{field('sub_types', listing(word))}{field('factors', listing(word))}"
+        rf"(?:{field('characteristics', listing(word))})?(?:{field('catalog', ids)})?"
         rf"[ \n]*description[ ]*:[ ]*{string('description')}[ \n]*\}})"
     )
     # A model line counts only if the next significant line starts another item
@@ -331,15 +323,19 @@ def _group_token(m: re.Match[str], group: str, file: str, line: int, line_start:
 
 
 class _Parser:
+    kind: str  # the file kind whose fast patterns the parser uses
+    uca_limit = MAX_IDENTIFIER_LENGTH  # the longest uca: value the lexer lets pass
+
     def __init__(self, tokens: list[Token], diags: list[Diagnostic]):
         self.tokens = tokens
         self.diags = diags
         self.pos = 0
 
-    def run(self, source: str, file: str, header: re.Pattern[str], item: re.Pattern[str], uca_limit: int):
+    def run(self, source: str, file: str):
         """Parse ``source``: records straight from the header and item matches,
         and the token path wherever they stop, up to the next item they take."""
-        self.source, self.file, self.item_pattern, self.uca_limit = source, file, item, uca_limit
+        header, self.item_pattern = _fast_patterns(self.kind)
+        self.source, self.file = source, file
         self.lex_diags: list[Diagnostic] = []
         m = header.match(source)
         if m is None:
@@ -350,17 +346,21 @@ class _Parser:
         result = self.parse(in_body=m is not None)
         more = self.tokens[-1]
         if more.kind is MORE:  # parsing ended before the last stretch: lex it for its diagnostics
-            self.lex_diags += _lex(source, file, uca_limit, more.length, more.line)[1]
+            self.lex_diags += _lex(source, file, self.uca_limit, more.length, more.line)[1]
         self.diags[:0] = self.lex_diags  # every lexer diagnostic comes first
         return result
 
     def resume(self, pos: int, line: int) -> None:
-        """Take the items from ``pos``, a line start, then lex from where they stop."""
+        """Take the items from ``pos``, a line start, then lex from where they
+        stop: at a line they do not match or whose word no vocabulary holds."""
         source, item = self.source, self.item_pattern
         m = item.match(source, pos)
         while m is not None:
             if m.lastgroup is not None:
-                self.fast_item(m, self.file, line, pos)
+                try:  # fast_item looks up every vocabulary word before it changes any state
+                    self.fast_item(m, self.file, line, pos)
+                except ValueError:
+                    break
             line += source.count("\n", pos, m.end())
             pos = m.end()
             m = item.match(source, pos)
@@ -406,12 +406,15 @@ class _Parser:
     def error(self, code: str, message: str, tok: Token) -> None:
         self.diags.append(Diagnostic(Severity.ERROR, code, message, tok.span))
 
+    def unexpected(self, what: str, tok: Token, empty: str = "end of input") -> None:
+        """Report ``tok`` where the grammar wants ``what``; ``empty`` shows a token without text."""
+        self.error("UnexpectedToken", f"expected {what}, found {tok.text or empty!r}", tok)
+
     def expect(self, kind: str, what: str) -> Token | None:
         tok = self.peek()
         if tok.kind == kind:
             return self.advance()
-        shown = tok.text or "end of input"
-        self.error("UnexpectedToken", f"expected {what}, found {shown!r}", tok)
+        self.unexpected(what, tok)
         return None
 
     def expect_keyword(self, word: str) -> bool:
@@ -419,8 +422,7 @@ class _Parser:
         if tok.kind == IDENT and tok.text == word:
             self.advance()
             return True
-        shown = tok.text or "end of input"
-        self.error("UnexpectedToken", f"expected keyword {word!r}, found {shown!r}", tok)
+        self.unexpected(f"keyword {word!r}", tok)
         return False
 
     def at_keyword(self, word: str) -> bool:
@@ -437,6 +439,13 @@ class _Parser:
             self.advance()
             tok = self.expect(IDENT, "an identifier")
         return items
+
+    def ids_after(self, keyword: str) -> list[str]:
+        """The id list after an optional ``keyword``; none if the next token is not it."""
+        if not self.at_keyword(keyword):
+            return []
+        self.advance()
+        return self.ident_list()
 
     def sync_to(self, keywords: frozenset[str]) -> None:
         """Skip ahead to the next plausible declaration start."""
@@ -467,6 +476,8 @@ class _Parser:
 
 
 class _ModelParser(_Parser):
+    kind = "model"
+
     def __init__(self, tokens: list[Token], diags: list[Diagnostic]):
         super().__init__(tokens, diags)
         self.name = ""
@@ -533,7 +544,7 @@ class _ModelParser(_Parser):
     def item(self) -> None:
         tok = self.peek()
         if tok.kind != IDENT:
-            self.error("UnexpectedToken", f"expected a declaration, found {tok.text!r}", tok)
+            self.unexpected("a declaration", tok, "")
             self.advance()
             self.sync_to(_ITEM_KEYWORDS)
             return
@@ -597,42 +608,29 @@ class _ModelParser(_Parser):
         component = Component(id=id_tok.text, name=id_tok.text, kind=kind, agent_nature=nature, notes=notes)
         self.claim_id(id_tok, "component", component)
 
-    def loss_item(self) -> None:
+    def declaration(self, what: str, text_what: str, keyword: str | None = None) -> tuple[Token, Token] | None:
+        """The id and text tokens after an item keyword, and its next ``keyword``
+        if one is given; None, after a sync to the next item, if they are not there."""
         self.advance()
-        id_tok = self.expect(IDENT, "a loss id")
-        text_tok = self.expect(STRING, "the loss description")
-        if id_tok is None or text_tok is None:
+        id_tok = self.expect(IDENT, f"a {what} id")
+        text_tok = self.expect(STRING, text_what)
+        if id_tok is None or text_tok is None or (keyword is not None and not self.expect_keyword(keyword)):
             self.sync_to(_ITEM_KEYWORDS)
-            return
-        self.claim_id(id_tok, "loss", Loss(id=id_tok.text, description=text_tok.text))
+            return None
+        return id_tok, text_tok
+
+    def loss_item(self) -> None:
+        if head := self.declaration("loss", "the loss description"):
+            self.claim_id(head[0], "loss", Loss(head[0].text, head[1].text))
 
     def hazard_item(self) -> None:
-        self.advance()
-        id_tok = self.expect(IDENT, "a hazard id")
-        text_tok = self.expect(STRING, "the hazard description")
-        if id_tok is None or text_tok is None or not self.expect_keyword("leads_to"):
-            self.sync_to(_ITEM_KEYWORDS)
-            return
-        losses = self.ident_list()
-        hazard = Hazard(id=id_tok.text, description=text_tok.text, leads_to=frozenset(losses))
-        self.claim_id(id_tok, "hazard", hazard)
+        if head := self.declaration("hazard", "the hazard description", "leads_to"):
+            self.claim_id(head[0], "hazard", Hazard(head[0].text, head[1].text, frozenset(self.ident_list())))
 
     def constraint_item(self) -> None:
-        self.advance()
-        id_tok = self.expect(IDENT, "a constraint id")
-        text_tok = self.expect(STRING, "the constraint text")
-        if id_tok is None or text_tok is None or not self.expect_keyword("mitigates"):
-            self.sync_to(_ITEM_KEYWORDS)
-            return
-        mitigates = self.ident_list()
-        enforced_by: list[str] = []
-        if self.at_keyword("enforced_by"):
-            self.advance()
-            enforced_by = self.ident_list()
-        constraint = SafetyConstraint(
-            id=id_tok.text, text=text_tok.text, mitigates=frozenset(mitigates), enforced_by=frozenset(enforced_by)
-        )
-        self.claim_id(id_tok, "constraint", constraint)
+        if head := self.declaration("constraint", "the constraint text", "mitigates"):
+            mitigates, enforced_by = frozenset(self.ident_list()), frozenset(self.ids_after("enforced_by"))
+            self.claim_id(head[0], "constraint", SafetyConstraint(head[0].text, head[1].text, mitigates, enforced_by))
 
     def channel(self, tok: Token, control: bool, label: str, source: str, target: str, via: str | None) -> None:
         what, cls = ("control action", ControlAction) if control else ("feedback channel", FeedbackChannel)
@@ -640,18 +638,11 @@ class _ModelParser(_Parser):
 
     def channel_item(self, control: bool) -> None:
         what = "control action" if control else "feedback channel"
-        self.advance()
-        id_tok = self.expect(IDENT, f"a {what} id")
-        label_tok = self.expect(STRING, f"the {what} label")
-        if id_tok is None or label_tok is None or not self.expect_keyword("from"):
-            self.sync_to(_ITEM_KEYWORDS)
+        if not (head := self.declaration(what, f"the {what} label", "from")):
             return
         source_tok = self.expect(IDENT, "the source component id")
-        if source_tok is None or not self.expect_keyword("to"):
-            self.sync_to(_ITEM_KEYWORDS)
-            return
-        target_tok = self.expect(IDENT, "the target component id")
-        if target_tok is None:
+        target_tok = source_tok and self.expect_keyword("to") and self.expect(IDENT, "the target component id")
+        if not target_tok:
             self.sync_to(_ITEM_KEYWORDS)
             return
         via: str | None = None
@@ -660,28 +651,17 @@ class _ModelParser(_Parser):
             via_tok = self.expect(IDENT, "the via component id")
             if via_tok is not None:
                 via = via_tok.text
-        self.channel(id_tok, control, label_tok.text, source_tok.text, target_tok.text, via)
+        self.channel(head[0], control, head[1].text, source_tok.text, target_tok.text, via)
 
     def annotate_item(self) -> None:
         self.advance()
         ca_tok = self.expect(IDENT, "a control action id")
-        if ca_tok is None:
+        uca_type = ca_tok and self.enum_token(UcaType, "UCA type")
+        context_tok = uca_type and self.expect_keyword("context") and self.expect(STRING, "the context string")
+        if not context_tok:
             self.sync_to(_ITEM_KEYWORDS)
             return
-        uca_type = self.enum_token(UcaType, "UCA type")
-        if uca_type is None or not self.expect_keyword("context"):
-            self.sync_to(_ITEM_KEYWORDS)
-            return
-        context_tok = self.expect(STRING, "the context string")
-        if context_tok is None:
-            self.sync_to(_ITEM_KEYWORDS)
-            return
-        hazards: list[str] = []
-        if self.at_keyword("hazards"):
-            self.advance()
-            hazards = self.ident_list()
-        self.annotate(ca_tok, uca_type, context_tok.text, hazards)
-
+        self.annotate(ca_tok, uca_type, context_tok.text, self.ids_after("hazards"))
 
 def parse_model(source_text: str, file: str = "<stpa>") -> tuple[ControlStructureModel, list[Diagnostic]]:
     """Parse `.stpa` source into a model plus diagnostics.
@@ -692,7 +672,7 @@ def parse_model(source_text: str, file: str = "<stpa>") -> tuple[ControlStructur
     declared without upsetting the parser.
     """
     parser = _ModelParser([], [])
-    return parser.run(source_text, file, *_fast_patterns("model"), MAX_IDENTIFIER_LENGTH), parser.diags
+    return parser.run(source_text, file), parser.diags
 
 
 # --------------------------------------------------------------------------
@@ -764,6 +744,8 @@ def serialize_model(model: ControlStructureModel) -> str:
 
 
 class _ScenarioParser(_Parser):
+    kind = "scenarios"
+    uca_limit = _UCA_ID_LIMIT
     _KEYWORDS = frozenset({"scenario"})
     _FIELDS = frozenset(
         {"origin", "uca", "type", "sub_types", "factors", "characteristics", "catalog", "description"}
@@ -898,4 +880,4 @@ def parse_scenarios(
     keeps the limit.
     """
     parser = _ScenarioParser([], [], model)
-    return parser.run(source_text, file, *_fast_patterns("scenarios"), _UCA_ID_LIMIT), parser.diags
+    return parser.run(source_text, file), parser.diags

@@ -485,16 +485,20 @@ def _normalized(text: str) -> str:
     return " ".join(text.split()).casefold()
 
 
+# The model collection that holds each category of declared id, in diagnostic order.
+_COLLECTIONS = {
+    "component": "components",
+    "loss": "losses",
+    "hazard": "hazards",
+    "constraint": "constraints",
+    "control action": "control_actions",
+    "feedback channel": "feedback_channels",
+}
+
+
 def _id_collections(model: ControlStructureModel) -> tuple[tuple[str, Mapping], ...]:
     """The id-keyed collections with their categories, in diagnostic order."""
-    return (
-        ("component", model.components),
-        ("loss", model.losses),
-        ("hazard", model.hazards),
-        ("constraint", model.constraints),
-        ("control action", model.control_actions),
-        ("feedback channel", model.feedback_channels),
-    )
+    return tuple((category, getattr(model, name)) for category, name in _COLLECTIONS.items())
 
 
 def _check_endpoint(

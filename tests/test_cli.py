@@ -720,6 +720,37 @@ def test_ledger_bad_file_is_io_error(ledger_env, tmp_path):
 
 
 
+def test_ledger_that_is_a_directory_is_io_error(ledger_env, tmp_path):
+    _, model = ledger_env
+    ledger = tmp_path / "ledger.d"
+    ledger.mkdir()
+    code, out, err = run_cli(["ledger", "exposure", str(ledger), "--model", model])
+    assert (code, out) == (3, "")
+    assert err.startswith("stpa-loc: error: [Errno 21] Is a directory:")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        pytest.param('"description": "a\\udcffb"', "ledger field 'description' holds a lone surrogate", id="lone-surrogate"),
+        pytest.param('"closed_at": ""', "Invalid isoformat string: ''", id="empty-closed_at"),
+    ],
+)
+def test_ledger_line_that_no_save_could_write_is_io_error(ledger_env, line, message):
+    ledger, model = ledger_env
+    assert run_cli(add_args(ledger, model))[0] == 0
+    field = line.split(":")[0]
+    text = Path(ledger).read_text(encoding="utf-8")
+    start = text.index(field)
+    Path(ledger).write_text(text[:start] + line + text[text.index(",", start):], encoding="utf-8")
+    before = Path(ledger).read_bytes()
+    for argv in (["ledger", "exposure", ledger, "--model", model], add_args(ledger, model, record_id="V-2")):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (3, ""), argv[1]
+        assert err.startswith(f"stpa-loc: error: bad ledger file: {message}"), argv[1]
+    assert Path(ledger).read_bytes() == before
+
+
 def test_ledger_malformed_lines_are_io_errors(ledger_env, tmp_path):
     ledger, model = ledger_env
     wrong_type = {

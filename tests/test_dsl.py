@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -385,6 +387,25 @@ PARSER_CASES = [
             )
         ],
         id="unknown-uca-type",
+    ),
+    # an item that breaks before its id, or at a channel's target, syncs to the next item
+    pytest.param(
+        "model",
+        'system "x" {\n  controller "x"\n}',
+        [("UnexpectedToken", "expected a component id, found 'x'", 2, 14, 3)],
+        id="component-without-id",
+    ),
+    pytest.param(
+        "model",
+        'system "x" {\n  control_action CA-1 "go" from C to "P"\n}',
+        [("UnexpectedToken", "expected the target component id, found 'P'", 2, 38, 3)],
+        id="channel-target-is-a-string",
+    ),
+    pytest.param(
+        "model",
+        'system "x" {\n  annotate "x" not_provided\n}',
+        [("UnexpectedToken", "expected a control action id, found 'x'", 2, 12, 3)],
+        id="annotation-without-action-id",
     ),
     pytest.param(
         "model",
@@ -823,6 +844,7 @@ FAST_MODEL_EDITS = [
     pytest.param('"too long"\n}\n', '"too long"\n# end', id="ends-inside-comment"),
     pytest.param("  loss L-1", "  loss L-1\r", id="one-crlf-line"),
     pytest.param("lifecycle: development", "lifecycle: dev", id="unknown-phase"),
+    pytest.param("CA-1 not_provided context", "CA-1 bogus_word context", id="unknown-uca-type-word"),
     pytest.param("{kind: human", "{kind: robot", id="unknown-agent-nature"),
     pytest.param("{contains_ai: true}", "{contains_ai: true kind: human}", id="attrs-out-of-order"),
     pytest.param("system", "# c\n\nsystem", id="comment-before-header"),
@@ -851,6 +873,7 @@ FAST_SCENARIO_EDITS = [
     pytest.param("catalog: A3-11, B4-01", "catalog: A3-11\n    , B4-01", id="catalog-comma-on-next-line"),
     pytest.param("    type: type_a\n", "    type: type_a\n    # c\n", id="comment-in-block"),
     pytest.param("factors: delay", "factors: delay, gremlins", id="unknown-factor"),
+    pytest.param("agency, deception", "agency, bogus_word", id="unknown-characteristic-word"),
     pytest.param('"controller', '"\\q controller', id="bad-escape"),
     pytest.param("sub_types: not_provided", "sub_types:  not_provided", id="two-spaces"),
     pytest.param('"long uca" }\n}\n', '"long uca" }\n}', id="no-final-newline"),
@@ -886,6 +909,37 @@ def test_fast_scenario_prefix_matches_token_path_on_edge_cases(old, new):
     assert diags == []
     count = -1 if old == "\n" else 1
     assert_scenario_parse_matches_token_path(FAST_SCENARIOS.replace(old, new, count), host)
+
+
+VOCABULARIES = [LifecyclePhase, UcaType, ScenarioType, ScenarioSubType, CausalFactorType, AiCharacteristic]
+
+
+def test_fast_patterns_take_every_vocabulary_token_as_one_word_and_name_none():
+    """A token the generic word did not match whole would send every line that holds it to the token path."""
+    patterns = [pattern.pattern for kind in ("model", "scenarios") for pattern in dsl._fast_patterns(kind)]
+    for cls in VOCABULARIES:
+        for token in cls.tokens():
+            assert re.fullmatch(dsl._WORD, token), token
+            assert not any(re.search(rf"(?<![A-Za-z_]){token}(?![A-Za-z_])", p) for p in patterns), token
+
+
+# the lexer's stretch runs to the first word of the next item line, past a blank line after the lifecycle
+@pytest.mark.parametrize(
+    "old, new, lines", [("development", "bogus_word", 2), ("not_provided context", "bogus_word context", 1)]
+)
+def test_an_unknown_vocabulary_word_sends_only_its_line_to_the_token_path(monkeypatch, old, new, lines):
+    starts = []
+    real_lex = dsl._lex
+
+    def recording_lex(source, file, uca_limit, pos, line, end=None):
+        starts.append((line, source.count("\n", pos, end)))
+        return real_lex(source, file, uca_limit, pos, line, end)
+
+    monkeypatch.setattr(dsl, "_lex", recording_lex)
+    source = FAST_MODEL.replace(old, new, 1)
+    assert codes(parse_model(source)[1]) == ["UnknownEnumToken"]
+    line = source[:source.index("bogus_word")].count("\n") + 1
+    assert starts == [(line, lines), (FAST_MODEL.count("\n"), 1)]
 
 
 def test_fast_prefix_takes_every_well_formed_item(monkeypatch):
@@ -981,6 +1035,7 @@ EDIT_PIECES = [
     "\n  , X", "\n  {kind: ai}", "\n  via X", "\n  hazards X", "\n  enforced_by X", "\n  # c\n  , X",
     "\n  # c\n\n  via X", "\n\t# c\n  hazards X", "\n  # c\n  {notes: \"n\"}", "\n  # c\n  enforced_by X",
     "x" * 65, "CA-" + "x" * 85, "loss L-1 \"dup\"\n", "uca: ", "not_provided", "true", "kind: ", "scenario",
+    "bogus_word",
 ]
 
 edits = st.lists(

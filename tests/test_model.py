@@ -216,6 +216,14 @@ def test_key_mismatch():
     assert "KeyMismatch" in codes(validate_model(model))
 
 
+def test_annotation_under_the_wrong_key():
+    annotation = UcaAnnotation(control_action="CA-1", uca_type=UcaType.NOT_PROVIDED, context="c")
+    model = minimal_model(control_actions=[ControlAction(id="CA-1", label="go", source="C", target="P")])
+    model = dataclasses.replace(model, annotations={("CA-1", UcaType.WRONG_DURATION): annotation})
+    found = [d.message for d in validate_model(model) if d.rule_code == "KeyMismatch"]
+    assert found == ["annotation (CA-1, not_provided) stored under key ('CA-1', <UcaType.WRONG_DURATION: 'wrong_duration'>)"]
+
+
 def test_duplicate_id_across_categories():
     model = minimal_model(
         losses=[Loss(id="X", description="a loss")],
@@ -308,6 +316,14 @@ def test_channel_dangling_endpoints():
         ]
     )
     assert "DanglingComponentRef" in codes(validate_model(model))
+
+
+def test_channel_without_a_source():
+    model = minimal_model(
+        feedback_channels=[FeedbackChannel(id="FB-1", label="see", source=None, target="C")]
+    )
+    found = [d.message for d in validate_model(model) if d.rule_code == "DanglingComponentRef"]
+    assert found == ["feedback channel FB-1: missing source component"]
 
 
 def test_annotation_refs_checked():
