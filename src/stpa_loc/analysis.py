@@ -17,7 +17,8 @@ The module also keeps the degradation ledger: a value-typed register of
 open vulnerabilities anchored to one model fingerprint, with severity
 weighting for exposure reporting and line-delimited JSON persistence.
 
-All functions are pure; ledger mutators return a new ledger.
+All functions are pure except ``ledger_load`` and ``ledger_save``, which
+read and write the ledger file; ledger mutators return a new ledger.
 """
 
 from __future__ import annotations

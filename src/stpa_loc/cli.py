@@ -9,9 +9,10 @@ Exit codes are part of the interface and stay stable:
     141  the consumer of standard output closed the pipe early (128 + SIGPIPE)
 
 Machine-readable output goes to standard output; diagnostics and error
-messages go to standard error. Commands never write to any file except
-the ledger path given to ``ledger``. The STPA_LOC_CATALOG environment
-variable points ``prompts`` at a replacement catalog file.
+messages go to standard error. Commands write no file except the ledger of
+``ledger add`` and ``ledger resolve``, their ``.<name>.lock`` beside it and
+the ``.<name>.<pid>.tmp`` file a save renames over it. The STPA_LOC_CATALOG
+environment variable points ``prompts`` at a replacement catalog file.
 """
 
 from __future__ import annotations

@@ -21,19 +21,19 @@ shorthand for `kind: ai`. A missing `lifecycle` item defaults to
 operations. Display names are not part of the grammar: a component's name
 is its id.
 
-Parsing alternates between a fast prefix and a token path. After a
-well-formed `system "..." {` or `scenarios ... {` header, each one-line model
+Parsing alternates between a token path and a fast prefix. The token path
+reads the `system "..." {` or `scenarios ... {` header and any `lifecycle`
+item: one `re.finditer` pass over a master pattern, `_LEXEME`, then recursive
+descent. The prefix takes the declarations that repeat: each one-line model
 item, or `scenario` block with its fields in grammar order, that lexes without
 a diagnostic and that the next significant line does not extend (`,`, `{`,
 `via`, `enforced_by`, `hazards`) is one pattern match, built straight into its
 record. A vocabulary token there is any lowercase word, which the enums check
 after the match; a word they do not know sends its line to the token path.
-At a line the prefix does not take, the token path takes over up to the first
-word of the next line that it takes: one `re.finditer` pass over a master
-pattern, `_LEXEME`, then recursive descent. If the parser is at item level at
-that word, the prefix takes over again; if an item took the word, the token
-path lexes on to the next such line. Tokens carry their positions; a
-`SourceSpan` is built only for a diagnostic.
+Each stretch of the token path ends where the next line the prefix takes
+begins. If the parser is at item level there, the prefix takes over again; if
+an item runs on, the token path lexes its next stretch. Tokens carry their
+positions; a `SourceSpan` is built only for a diagnostic.
 Diagnostics come out as without the prefix: the lexer's first, then the
 parser's in source order.
 
@@ -148,7 +148,6 @@ RBRACE = "RBRACE"
 COLON = "COLON"
 COMMA = "COMMA"
 EOF = "EOF"
-MORE = "MORE"  # ends a stretch of tokens that the rest of the file follows
 
 _PUNCTUATION = {"{": LBRACE, "}": RBRACE, ":": COLON, ",": COMMA}
 
@@ -195,15 +194,13 @@ def _unescape(text: str) -> str:
 def _lex(
     source: str, file: str, uca_limit: int = MAX_IDENTIFIER_LENGTH, pos: int = 0, line: int = 1, end: int | None = None
 ) -> tuple[list[Token], list[Diagnostic]]:
-    """Tokens and lexer diagnostics of ``source`` from ``pos``, a line start;
-    given ``end``, a later line start, up to the first word of that line and a
-    MORE token whose ``length`` holds ``end``."""
+    """Tokens and lexer diagnostics of ``source`` from ``pos``, a line start,
+    to ``end``, a later line start, or to the end of input and its EOF token."""
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
     line_start = pos
-    end = len(source) if end is None else end
     m = None
-    for m in _LEXEME.finditer(source, pos):
+    for m in _LEXEME.finditer(source, pos, len(source) if end is None else end):
         kind = m.lastgroup
         start = m.start()
         col = start - line_start + 1
@@ -217,9 +214,6 @@ def _lex(
                     message = f"identifier {word[:16]}... exceeds {limit} characters"
                     diags.append(Diagnostic(Severity.ERROR, "BadIdentifier", message, tok.span))
             tokens.append(tok)
-            if start >= end:
-                tokens.append(Token(MORE, "", file, line, col, end))
-                return tokens, diags
         elif kind == "NEWLINE" or kind == "BLANK":
             if kind == "NEWLINE":
                 line += 1
@@ -249,16 +243,16 @@ def _lex(
         elif kind == "OTHER":
             message = f"unexpected character {m.group(kind)!r}"
             diags.append(Diagnostic(Severity.ERROR, "UnexpectedToken", message, SourceSpan(file, line, col, 1)))
-    # input that ends inside a comment puts the end-of-input token at its '#'
-    end = m.start() if m is not None and m.lastgroup == "COMMENT" else len(source)
-    tokens.append(Token(EOF, "", file, line, end - line_start + 1, 1))
+    if end is None:  # input that ends inside a comment puts the end-of-input token at its '#'
+        at = m.start() if m is not None and m.lastgroup == "COMMENT" else len(source)
+        tokens.append(Token(EOF, "", file, line, at - line_start + 1, 1))
     return tokens, diags
 
 
 @functools.cache
-def _fast_patterns(kind: str) -> tuple[re.Pattern[str], re.Pattern[str]]:
-    """The fast prefix's header and item patterns for a "model" or a
-    "scenarios" file, compiled on the first parse of one, not at import."""
+def _fast_pattern(kind: str) -> re.Pattern[str]:
+    """The fast prefix's item pattern for a "model" or a "scenarios" file,
+    compiled on the first parse of one, not at import."""
     end = r"(?![A-Za-z0-9_-])"
     ident, uca_id = (rf"[A-Za-z][A-Za-z0-9_-]{{0,{n - 1}}}{end}" for n in (MAX_IDENTIFIER_LENGTH, _UCA_ID_LIMIT))
     word = rf"{_WORD}{end}"
@@ -275,8 +269,7 @@ def _fast_patterns(kind: str) -> tuple[re.Pattern[str], re.Pattern[str]]:
 
     ids = listing(ident)
     model_line = (
-        rf"(?P<lifecycle>lifecycle[ ]*:[ ]*(?P<phase>{word}))"
-        rf"|(?P<component>(?P<keyword>{'|'.join(_COMPONENT_KEYWORDS)})[ ]+(?P<component_id>{ident})"
+        rf"(?P<component>(?P<keyword>{'|'.join(_COMPONENT_KEYWORDS)})[ ]+(?P<component_id>{ident})"
         rf"(?:[ ]*\{{[ ]*(?:(?:kind[ ]*:[ ]*(?P<kind>{'|'.join(_AGENT_WORDS)})"
         rf"|contains_ai[ ]*:[ ]*(?P<ai>true|false)){end}[ ]*)?(?:notes[ ]*:[ ]*{string('component_text')}[ ]*)?\}})?)"
         rf"|(?P<loss>loss[ ]+(?P<loss_id>{ident})[ ]*{string('loss_text')})"
@@ -303,10 +296,8 @@ def _fast_patterns(kind: str) -> tuple[re.Pattern[str], re.Pattern[str]]:
     # lines; the model's has no lookahead, so a run of them is linear.
     item_ends = rf"(?:[ \t]*(?:#[^\n]*)?\n)*[ \t]*(?:}}|(?:#[^\n]*)?\Z|(?!(?:via|enforced_by|hazards){end})[A-Za-z])"
     if kind == "model":
-        header, item = rf"system[ ]*{string('name')}", rf"[ ]*(?:(?:{model_line}){rest}(?={item_ends})|{rest})"
-    else:
-        header, item = rf"scenarios[ ]*(?:{string('title')})?", rf"[ ]*(?:{scenario})?{rest}"
-    return re.compile(rf"(?:{rest})*[ ]*{header}[ ]*\{{{rest}"), re.compile(item)
+        return re.compile(rf"[ ]*(?:(?:{model_line}){rest}(?={item_ends})|{rest})")
+    return re.compile(rf"[ ]*(?:{scenario})?{rest}")
 
 
 def _split(ids: str | None) -> list[str]:
@@ -323,7 +314,7 @@ def _group_token(m: re.Match[str], group: str, file: str, line: int, line_start:
 
 
 class _Parser:
-    kind: str  # the file kind whose fast patterns the parser uses
+    kind: str  # the file kind whose fast pattern the parser uses
     uca_limit = MAX_IDENTIFIER_LENGTH  # the longest uca: value the lexer lets pass
 
     def __init__(self, tokens: list[Token], diags: list[Diagnostic]):
@@ -332,21 +323,15 @@ class _Parser:
         self.pos = 0
 
     def run(self, source: str, file: str):
-        """Parse ``source``: records straight from the header and item matches,
-        and the token path wherever they stop, up to the next item they take."""
-        header, self.item_pattern = _fast_patterns(self.kind)
+        """Parse ``source``: the token path reads the header and each line that
+        the item matches do not take, up to the start of the next one they take."""
+        self.item_pattern = _fast_pattern(self.kind)
         self.source, self.file = source, file
         self.lex_diags: list[Diagnostic] = []
-        m = header.match(source)
-        if m is None:
-            self.lex(0, 1)
-        else:
-            self.fast_item(m, file, 1, 0)
-            self.resume(m.end(), 1 + source.count("\n", 0, m.end()))
-        result = self.parse(in_body=m is not None)
-        more = self.tokens[-1]
-        if more.kind is MORE:  # parsing ended before the last stretch: lex it for its diagnostics
-            self.lex_diags += _lex(source, file, self.uca_limit, more.length, more.line)[1]
+        self.lex(0, 1)
+        result = self.parse()
+        if self.end is not None:  # parsing ended before the last stretch: lex the rest for its diagnostics
+            self.lex_diags += _lex(source, file, self.uca_limit, self.end, self.end_line)[1]
         self.diags[:0] = self.lex_diags  # every lexer diagnostic comes first
         return result
 
@@ -358,7 +343,7 @@ class _Parser:
         while m is not None:
             if m.lastgroup is not None:
                 try:  # fast_item looks up every vocabulary word before it changes any state
-                    self.fast_item(m, self.file, line, pos)
+                    self.fast_item(m, line, pos)
                 except ValueError:
                     break
             line += source.count("\n", pos, m.end())
@@ -367,35 +352,31 @@ class _Parser:
         self.lex(pos, line)
 
     def lex(self, pos: int, line: int) -> None:
-        """Tokens from ``pos``, a line start, to the first word of the next line
-        that the item pattern takes (blank and comment lines do not count)."""
-        source, end = self.source, pos
+        """Tokens from ``pos``, a line start, to ``end`` and ``end_line``: the start of
+        the next line that the item pattern takes (not a blank or comment line) or None."""
+        source, end, self.end_line = self.source, pos, line
         while end := source.find("\n", end) + 1:
+            self.end_line += 1
             m = self.item_pattern.match(source, end)
             if m is not None and m.lastgroup is not None:
                 break
-        self.tokens, diags = _lex(source, self.file, self.uca_limit, pos, line, end or None)
+        self.end = end or None
+        self.tokens, diags = _lex(source, self.file, self.uca_limit, pos, line, self.end)
         self.lex_diags += diags
         self.pos = 0
 
     def at_item(self) -> bool:
-        """Whether the item loop goes on; at a line the item pattern takes, the prefix takes it first."""
-        while self.peek().kind not in (RBRACE, EOF):
-            more = self.tokens[self.pos + 1]
-            if more.kind is not MORE:
-                return True
-            self.resume(more.length, more.line)
-        return False
+        """Whether the item loop goes on; where a stretch ends, the prefix takes the items there first."""
+        while self.pos == len(self.tokens):
+            self.resume(self.end, self.end_line)
+        return self.tokens[self.pos].kind not in (RBRACE, EOF)
 
     # -- token plumbing ----------------------------------------------------
 
     def peek(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind is MORE:  # an item took the first word of the line at its offset
-            self.lex(tok.length, tok.line)
-            self.pos = 1
-            return self.peek()
-        return tok
+        while self.pos == len(self.tokens):  # an item runs on past the stretch
+            self.lex(self.end, self.end_line)
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -406,9 +387,9 @@ class _Parser:
     def error(self, code: str, message: str, tok: Token) -> None:
         self.diags.append(Diagnostic(Severity.ERROR, code, message, tok.span))
 
-    def unexpected(self, what: str, tok: Token, empty: str = "end of input") -> None:
-        """Report ``tok`` where the grammar wants ``what``; ``empty`` shows a token without text."""
-        self.error("UnexpectedToken", f"expected {what}, found {tok.text or empty!r}", tok)
+    def unexpected(self, what: str, tok: Token) -> None:
+        found = "end of input" if tok.kind is EOF else tok.text
+        self.error("UnexpectedToken", f"expected {what}, found {found!r}", tok)
 
     def expect(self, kind: str, what: str) -> Token | None:
         tok = self.peek()
@@ -425,16 +406,20 @@ class _Parser:
         self.unexpected(f"keyword {word!r}", tok)
         return False
 
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == IDENT and tok.text == word
+    def at(self, kind: str, text: str | None = None) -> bool:
+        """Whether a ``kind`` token (reading ``text``) comes next, short of the
+        stretch's end: the item keyword there is not what a lookahead wants."""
+        if self.pos == len(self.tokens):
+            return False
+        tok = self.tokens[self.pos]
+        return tok.kind == kind and (text is None or tok.text == text)
 
     def ident_list(self) -> list[str]:
         items: list[str] = []
         tok = self.expect(IDENT, "an identifier")
         while tok is not None:
             items.append(tok.text)
-            if self.peek().kind != COMMA:
+            if not self.at(COMMA):
                 break
             self.advance()
             tok = self.expect(IDENT, "an identifier")
@@ -442,17 +427,19 @@ class _Parser:
 
     def ids_after(self, keyword: str) -> list[str]:
         """The id list after an optional ``keyword``; none if the next token is not it."""
-        if not self.at_keyword(keyword):
+        if not self.at(IDENT, keyword):
             return []
         self.advance()
         return self.ident_list()
 
     def sync_to(self, keywords: frozenset[str]) -> None:
-        """Skip ahead to the next plausible declaration start."""
-        tok = self.peek()
-        while tok.kind not in (RBRACE, EOF) and not (tok.kind == IDENT and tok.text in keywords):
-            self.advance()
-            tok = self.peek()
+        """Skip ahead to the next plausible declaration start, or to the end of
+        the stretch, where a line that starts with an item keyword begins."""
+        while self.pos < len(self.tokens):
+            tok = self.tokens[self.pos]
+            if tok.kind in (RBRACE, EOF) or (tok.kind == IDENT and tok.text in keywords):
+                return
+            self.pos += 1
 
     # -- vocabulary helpers --------------------------------------------------
 
@@ -469,7 +456,7 @@ class _Parser:
 
     def enum_token_list(self, cls, what: str) -> list | None:
         values = [self.enum_token(cls, what)]
-        while values[-1] is not None and self.peek().kind == COMMA:
+        while values[-1] is not None and self.at(COMMA):
             self.advance()
             values.append(self.enum_token(cls, what))
         return None if values[-1] is None else values
@@ -503,39 +490,33 @@ class _ModelParser(_Parser):
             control_action=ca_tok.text, uca_type=uca_type, context=context, hazards=frozenset(hazards)
         )
 
-    def fast_item(self, m: re.Match[str], file: str, line: int, line_start: int) -> None:
+    def fast_item(self, m: re.Match[str], line: int, line_start: int) -> None:
+        # a declaration's id group is <kind>_id and its string <kind>_text
         kind = m.lastgroup
-        if kind == "name":
-            self.name = _unescape(m["name"])
-        elif kind == "lifecycle":
-            self.lifecycle = LifecyclePhase(m["phase"])
+        tok = _group_token(m, f"{kind}_id", self.file, line, line_start)
+        text = _unescape(m[f"{kind}_text"] or "")
+        if kind == "component":
+            nature = AgentNature.AI_CONTAINING if m["ai"] == "true" else _AGENT_WORDS[m["kind"] or "automated"]
+            record = Component(tok.text, tok.text, _COMPONENT_KEYWORDS[m["keyword"]], nature, text)
+            self.claim_id(tok, kind, record)
+        elif kind == "loss":
+            self.claim_id(tok, kind, Loss(tok.text, text))
+        elif kind == "hazard":
+            self.claim_id(tok, kind, Hazard(tok.text, text, frozenset(_split(m["leads_to"]))))
+        elif kind == "constraint":
+            mitigates, enforced_by = frozenset(_split(m["mitigates"])), frozenset(_split(m["enforced_by"]))
+            self.claim_id(tok, kind, SafetyConstraint(tok.text, text, mitigates, enforced_by))
+        elif kind == "channel":
+            self.channel(tok, m["channel_kind"] == "control_action", text, m["source"], m["target"], m["via"])
         else:
-            # a declaration's id group is <kind>_id and its string <kind>_text
-            tok = _group_token(m, f"{kind}_id", file, line, line_start)
-            text = _unescape(m[f"{kind}_text"] or "")
-            if kind == "component":
-                nature = AgentNature.AI_CONTAINING if m["ai"] == "true" else _AGENT_WORDS[m["kind"] or "automated"]
-                record = Component(tok.text, tok.text, _COMPONENT_KEYWORDS[m["keyword"]], nature, text)
-                self.claim_id(tok, kind, record)
-            elif kind == "loss":
-                self.claim_id(tok, kind, Loss(tok.text, text))
-            elif kind == "hazard":
-                self.claim_id(tok, kind, Hazard(tok.text, text, frozenset(_split(m["leads_to"]))))
-            elif kind == "constraint":
-                mitigates, enforced_by = frozenset(_split(m["mitigates"])), frozenset(_split(m["enforced_by"]))
-                self.claim_id(tok, kind, SafetyConstraint(tok.text, text, mitigates, enforced_by))
-            elif kind == "channel":
-                self.channel(tok, m["channel_kind"] == "control_action", text, m["source"], m["target"], m["via"])
-            else:
-                self.annotate(tok, UcaType(m["uca_type"]), text, _split(m["hazards"]))
+            self.annotate(tok, UcaType(m["uca_type"]), text, _split(m["hazards"]))
 
-    def parse(self, in_body: bool = False) -> ControlStructureModel:
-        if in_body or self.expect_keyword("system"):
-            if not in_body:
-                name_tok = self.expect(STRING, "the system name string")
-                if name_tok is not None:
-                    self.name = name_tok.text
-                self.expect(LBRACE, "'{'")
+    def parse(self) -> ControlStructureModel:
+        if self.expect_keyword("system"):
+            name_tok = self.expect(STRING, "the system name string")
+            if name_tok is not None:
+                self.name = name_tok.text
+            self.expect(LBRACE, "'{'")
             while self.at_item():
                 self.item()
             self.expect(RBRACE, "'}'")
@@ -544,7 +525,7 @@ class _ModelParser(_Parser):
     def item(self) -> None:
         tok = self.peek()
         if tok.kind != IDENT:
-            self.unexpected("a declaration", tok, "")
+            self.unexpected("a declaration", tok)
             self.advance()
             self.sync_to(_ITEM_KEYWORDS)
             return
@@ -582,7 +563,7 @@ class _ModelParser(_Parser):
             return
         nature = AgentNature.AUTOMATED
         notes = ""
-        if self.peek().kind == LBRACE:
+        if self.at(LBRACE):
             self.advance()
             while self.peek().kind not in (RBRACE, EOF):
                 attr_tok = self.expect(IDENT, "an attribute name")
@@ -646,7 +627,7 @@ class _ModelParser(_Parser):
             self.sync_to(_ITEM_KEYWORDS)
             return
         via: str | None = None
-        if self.at_keyword("via"):
+        if self.at(IDENT, "via"):
             self.advance()
             via_tok = self.expect(IDENT, "the via component id")
             if via_tok is not None:
@@ -757,29 +738,27 @@ class _ScenarioParser(_Parser):
         self.scenarios: list[LossScenario] = []
         self.seen_ids: set[str] = set()
 
-    def fast_item(self, m: re.Match[str], file: str, line: int, line_start: int) -> None:
-        if m.lastgroup == "scenario":
-            fields = {
-                "origin": m["origin"],
-                "uca": m["uca"],
-                "type": ScenarioType(m["type"]),
-                "sub_types": [ScenarioSubType(word) for word in _split(m["sub_types"])],
-                "factors": [CausalFactorType(word) for word in _split(m["factors"])],
-                "characteristics": [AiCharacteristic(word) for word in _split(m["characteristics"])],
-                "catalog": _split(m["catalog"]),
-                "description": _unescape(m["description"]),
-            }
-            self.add_scenario(_group_token(m, "id", file, line, line_start), fields)
+    def fast_item(self, m: re.Match[str], line: int, line_start: int) -> None:
+        fields = {
+            "origin": m["origin"],
+            "uca": m["uca"],
+            "type": ScenarioType(m["type"]),
+            "sub_types": [ScenarioSubType(word) for word in _split(m["sub_types"])],
+            "factors": [CausalFactorType(word) for word in _split(m["factors"])],
+            "characteristics": [AiCharacteristic(word) for word in _split(m["characteristics"])],
+            "catalog": _split(m["catalog"]),
+            "description": _unescape(m["description"]),
+        }
+        self.add_scenario(_group_token(m, "id", self.file, line, line_start), fields)
 
-    def parse(self, in_body: bool = False) -> list[LossScenario]:
-        if not (in_body or self.expect_keyword("scenarios")):
+    def parse(self) -> list[LossScenario]:
+        if not self.expect_keyword("scenarios"):
             return self.scenarios
-        if not in_body:
-            if self.peek().kind == STRING:
-                self.advance()
-            self.expect(LBRACE, "'{'")
+        if self.at(STRING):
+            self.advance()
+        self.expect(LBRACE, "'{'")
         while self.at_item():
-            if self.at_keyword("scenario"):
+            if self.at(IDENT, "scenario"):
                 self.scenario_item()
             else:
                 tok = self.peek()

@@ -303,6 +303,19 @@ def test_lexer_diagnostics_and_eof_span(source, expected, eof):
     assert (end.kind, end.text, end.span) == ("EOF", "", SourceSpan("f.stpa", *eof, 1))
 
 
+def test_lexer_stretch_stops_at_end_and_only_the_last_has_eof():
+    source = 'a "b"\n  c, d  # note\n  e {\n  f # last'
+    end = source.index("  e")
+    tokens, diags = _lex(source, "f.stpa", pos=0, line=1, end=end)
+    assert diags == []
+    assert [t.text for t in tokens] == ["a", "b", "c", ",", "d"]
+    assert all(t.kind != "EOF" and (t.line, t.column) < (3, 1) for t in tokens)
+    rest, _ = _lex(source, "f.stpa", pos=end, line=3)
+    assert [(t.kind, t.text, t.line, t.column) for t in rest] == [
+        ("IDENT", "e", 3, 3), ("LBRACE", "{", 3, 5), ("IDENT", "f", 4, 3), ("EOF", "", 4, 5)
+    ]
+
+
 LEXER_ALPHABET = st.one_of(st.characters(), st.sampled_from('"\\#{}:,\n\r\t -_aZ9'))
 
 
@@ -334,6 +347,12 @@ PARSER_CASES = [
         'system "x" {\n  loss L-1 }',
         [("UnexpectedToken", "expected the loss description, found '}'", 2, 12, 1)],
         id="unexpected-token",
+    ),
+    pytest.param(
+        "model",
+        'system "x" {\n  loss "" "x"\n}',
+        [("UnexpectedToken", "expected a loss id, found ''", 2, 8, 2)],
+        id="empty-string-is-not-end-of-input",
     ),
     pytest.param(
         "model",
@@ -849,10 +868,13 @@ FAST_MODEL_EDITS = [
     pytest.param("{contains_ai: true}", "{contains_ai: true kind: human}", id="attrs-out-of-order"),
     pytest.param("system", "# c\n\nsystem", id="comment-before-header"),
     pytest.param('system "demo', 'system  "demo', id="header-two-spaces"),
+    pytest.param('name" {\n', 'name" {  loss L-0 "zero"\n', id="item-on-header-line"),
+    pytest.param('system "demo', 'system\n  "demo', id="header-over-two-lines"),
+    pytest.param("  controller C", "  lifecycle: design\n  controller C", id="second-lifecycle"),
     pytest.param("  loss L-1", "  loss L-1 é", id="stray-character"),
     pytest.param("  loss L-2", "  \x0c, L-3\n  loss L-2", id="form-feed-before-comma"),
     # the token path takes a broken line and hands back to the prefix at the
-    # next line it takes, or runs on when an item takes that line's first word
+    # next line it takes, or lexes on when an item runs past that line's start
     pytest.param('"another loss"', '"another loss" stray', id="break-mid-file"),
     pytest.param(TWO_BREAKS, TWO_BREAKS.replace('"eyes"', "eyes").replace("L-1, L-2", "L-1 L-2"), id="two-breaks"),
     pytest.param("lifecycle: development", 'lifecycle:\n  loss L-0 "zero"', id="lifecycle-colon-ends-line"),
@@ -881,6 +903,9 @@ FAST_SCENARIO_EDITS = [
     pytest.param('"long uca" }\n}\n', '"long uca"', id="ends-inside-block"),
     pytest.param("    origin: C\n", "\t  origin: C\n", id="tab-indent"),
     pytest.param('scenarios "demo set" {', "scenarios {", id="untitled"),
+    pytest.param('set" {\n', 'set" {  scenario S-0 { origin: P type: type_b sub_types: not_executed'
+                 ' factors: delay description: "zero" }\n', id="item-on-header-line"),
+    pytest.param('scenarios "demo set" {', 'scenarios\n  "demo set"\n  {', id="header-over-three-lines"),
     pytest.param('by"\n', 'by" stray\n', id="break-mid-file"),
     pytest.param(S_BREAKS, S_BREAKS.replace('by"', 'by" stray').replace('"long', '"\\q long'), id="two-breaks"),
     pytest.param(S2_LINE, "  }\n  scenario S-9 { origin:\n  scenario S-2", id="colon-ends-line"),
@@ -916,18 +941,20 @@ VOCABULARIES = [LifecyclePhase, UcaType, ScenarioType, ScenarioSubType, CausalFa
 
 def test_fast_patterns_take_every_vocabulary_token_as_one_word_and_name_none():
     """A token the generic word did not match whole would send every line that holds it to the token path."""
-    patterns = [pattern.pattern for kind in ("model", "scenarios") for pattern in dsl._fast_patterns(kind)]
+    patterns = [dsl._fast_pattern(kind).pattern for kind in ("model", "scenarios")]
     for cls in VOCABULARIES:
         for token in cls.tokens():
             assert re.fullmatch(dsl._WORD, token), token
             assert not any(re.search(rf"(?<![A-Za-z_]){token}(?![A-Za-z_])", p) for p in patterns), token
 
 
-# the lexer's stretch runs to the first word of the next item line, past a blank line after the lifecycle
+# the header stretch runs to the first item line, past the lifecycle and a blank line, so it holds a
+# broken lifecycle; a broken item's stretch runs to the start of the next item line
 @pytest.mark.parametrize(
-    "old, new, lines", [("development", "bogus_word", 2), ("not_provided context", "bogus_word context", 1)]
+    "old, new, stretches",
+    [("development", "bogus_word", [(1, 4)]), ("not_provided context", "bogus_word context", [(1, 4), (19, 1)])],
 )
-def test_an_unknown_vocabulary_word_sends_only_its_line_to_the_token_path(monkeypatch, old, new, lines):
+def test_an_unknown_vocabulary_word_sends_only_its_line_to_the_token_path(monkeypatch, old, new, stretches):
     starts = []
     real_lex = dsl._lex
 
@@ -938,12 +965,11 @@ def test_an_unknown_vocabulary_word_sends_only_its_line_to_the_token_path(monkey
     monkeypatch.setattr(dsl, "_lex", recording_lex)
     source = FAST_MODEL.replace(old, new, 1)
     assert codes(parse_model(source)[1]) == ["UnknownEnumToken"]
-    line = source[:source.index("bogus_word")].count("\n") + 1
-    assert starts == [(line, lines), (FAST_MODEL.count("\n"), 1)]
+    assert starts == stretches + [(FAST_MODEL.count("\n"), 1)]
 
 
 def test_fast_prefix_takes_every_well_formed_item(monkeypatch):
-    """Only the closing brace reaches the lexer for canonical and generated text."""
+    """Only the header and the closing brace reach the lexer for canonical and generated text."""
     starts = []
     real_lex = dsl._lex
 
@@ -960,20 +986,20 @@ def test_fast_prefix_takes_every_well_formed_item(monkeypatch):
     parse_scenarios(SCENARIOS_PATH.read_text(encoding="utf-8"), bundled)
     fast_host, _ = parse_model(FAST_MODEL)
     parse_scenarios(FAST_SCENARIOS, fast_host)
-    assert starts == [
-        (2, canonical.count("\n")),
-        (2, listed.count("\n")),
-        (2, MODEL_PATH.read_text(encoding="utf-8").count("\n")),
-        (2, SCENARIOS_PATH.read_text(encoding="utf-8").count("\n")),
-        (2, FAST_MODEL.count("\n")),
-        (2, FAST_SCENARIOS.count("\n")),
+    texts = [
+        canonical,
+        listed,
+        MODEL_PATH.read_text(encoding="utf-8"),
+        SCENARIOS_PATH.read_text(encoding="utf-8"),
+        FAST_MODEL,
+        FAST_SCENARIOS,
     ]
+    assert starts == [stretch for text in texts for stretch in ((len(text), 1), (2, text.count("\n")))]
 
 
 def test_token_path_lexes_only_the_lines_around_each_break(monkeypatch):
     """The prefix takes over again after each broken line, so the lexer sees
-    each broken line and the first word of the line after it, then the
-    closing brace."""
+    the header, each broken line, then the closing brace."""
     chunks = []
     real_lex = dsl._lex
 
@@ -992,7 +1018,7 @@ def test_token_path_lexes_only_the_lines_around_each_break(monkeypatch):
     source = "\n".join(lines)
     monkeypatch.setattr(dsl, "_lex", recording_lex)
     assert_model_parse_matches_token_path(source)
-    assert chunks == [(i + 1, 1) for i in breaks] + [(len(lines) - 1, 1)]
+    assert chunks == [(1, 2)] + [(i + 1, 1) for i in breaks] + [(len(lines) - 1, 1)]
 
 
 @pytest.mark.parametrize(
@@ -1004,7 +1030,7 @@ def test_token_path_lexes_only_the_lines_around_each_break(monkeypatch):
     ],
 )
 def test_a_tab_indented_line_leaves_the_item_before_it_to_the_prefix(monkeypatch, before, after):
-    """Only the tab-indented line and the first word of the next reach the lexer."""
+    """After the header, only the tab-indented line reaches the lexer before the prefix takes over again."""
     chunks = []
     real_lex = dsl._lex
 
@@ -1018,7 +1044,27 @@ def test_a_tab_indented_line_leaves_the_item_before_it_to_the_prefix(monkeypatch
     monkeypatch.setattr(dsl, "_lex", recording_lex)
     assert_model_parse_matches_token_path(source)
     assert [d.rule_code for d in parse_model(source)[1]] == ["TabIndent"]
-    assert chunks[0] == (52, 1)
+    assert chunks[:2] == [(1, 2), (52, 1)]
+
+
+@pytest.mark.parametrize("keyword", ["process", "hazard", "control_action", "annotate"])
+def test_a_token_path_item_at_the_end_of_its_stretch_hands_back_to_the_prefix(monkeypatch, keyword):
+    """An item's check for a `,`, `{`, `via`, `enforced_by` or `hazards` after
+    its last token does not lex on, so the items after it stay in the prefix."""
+    chunks = []
+    real_lex = dsl._lex
+
+    def recording_lex(source, file, uca_limit, pos, line, end=None):
+        chunks.append((line, source.count("\n", pos, end)))
+        return real_lex(source, file, uca_limit, pos, line, end)
+
+    lines = serialize_model(synthetic(50)[0]).split("\n")
+    at = next(i for i, text in enumerate(lines) if text.startswith(f"  {keyword} "))
+    lines[at] = "\t" + lines[at][2:]
+    source = "\n".join(lines)
+    monkeypatch.setattr(dsl, "_lex", recording_lex)
+    assert_model_parse_matches_token_path(source)
+    assert chunks == [(1, 2), (at + 1, 1), (len(lines) - 1, 1)]
 
 
 def differential_bases() -> tuple[list[str], list[str]]:
