@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Container, Iterable
+from typing import Container, Iterable, Iterator
 
 from .model import (
     CausalFactorType,
@@ -57,6 +57,7 @@ __all__ = [
     "DanglingReference",
     "DuplicateId",
     "Ledger",
+    "LedgerFormatError",
     "LedgerSource",
     "Pathway",
     "PathwayStage",
@@ -452,6 +453,9 @@ class Ledger:
             components=frozenset(model.components),
         )
 
+    def __iter__(self) -> Iterator[VulnerabilityRecord]:
+        return iter(self.records)
+
     def __len__(self) -> int:
         return len(self.records)
 
@@ -460,6 +464,9 @@ class Ledger:
             if record.id == record_id:
                 return record
         raise KeyError(record_id)
+
+    def __contains__(self, record_id: str) -> bool:
+        return any(record.id == record_id for record in self.records)
 
 
 def ledger_register(ledger: Ledger, record: VulnerabilityRecord) -> Ledger:
@@ -617,7 +624,7 @@ def ledger_load(path: str | Path, model: ControlStructureModel) -> Ledger:
         try:
             record = _record_from_json(json.loads(line))
         except RecursionError:
-            raise LedgerFormatError(f"line {number}: JSON nested too deeply", number) from None
+            raise LedgerFormatError("JSON nested too deeply", number) from None
         except (ValueError, KeyError) as exc:
             raise LedgerFormatError(str(exc), number) from exc
         _check_admissible(record, records, ledger)

@@ -5,7 +5,8 @@ Exit codes are part of the interface and stay stable:
       0  success
       1  validation or analysis errors in the inputs
       2  usage error (bad flags or arguments)
-      3  I/O or data-format error (unreadable file, bad catalog)
+      3  I/O or data-format error (unreadable file, bad catalog, a failed
+         write to standard output, for example a full disk)
     141  the consumer of standard output closed the pipe early (128 + SIGPIPE)
 
 Machine-readable output goes to standard output; diagnostics and error
@@ -22,6 +23,7 @@ import io
 import json
 import os
 import sys
+from contextlib import ExitStack
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -69,18 +71,14 @@ def _read_text(path: str) -> str:
         raise OSError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _load_valid_model(path: str) -> tuple[ControlStructureModel | None, int]:
-    """Parse and validate; on failure report and return the exit code."""
-    try:
-        source = _read_text(path)
-    except OSError as exc:
-        return None, _fail(str(exc), EXIT_IO)
-    model, diagnostics = parse_model(source, file=path)
+def _load_valid_model(path: str) -> ControlStructureModel:
+    """Parse, validate and print the diagnostics; exit 1 if one is an error."""
+    model, diagnostics = parse_model(_read_text(path), file=path)
     diagnostics = [*diagnostics, *model.diagnostics]
     _print_diagnostics(diagnostics, path)
     if has_errors(diagnostics):
-        return None, EXIT_INVALID
-    return model, EXIT_OK
+        raise SystemExit(EXIT_INVALID)
+    return model
 
 
 def _timestamp(text: str) -> datetime:
@@ -123,8 +121,8 @@ def _characteristic(text: str) -> AiCharacteristic:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    _, code = _load_valid_model(args.model)
-    return code
+    _load_valid_model(args.model)
+    return EXIT_OK
 
 
 def cmd_ucas(args: argparse.Namespace) -> int:
@@ -132,9 +130,7 @@ def cmd_ucas(args: argparse.Namespace) -> int:
 
     from . import analysis
 
-    model, code = _load_valid_model(args.model)
-    if model is None:
-        return code
+    model = _load_valid_model(args.model)
     ucas = analysis.enumerate_ucas(model)
     if args.confirmed_only:
         ucas = [uca for uca in ucas if uca.is_confirmed]
@@ -159,16 +155,12 @@ def cmd_ucas(args: argparse.Namespace) -> int:
 def cmd_prompts(args: argparse.Namespace) -> int:
     from . import catalog as catalog_mod
 
-    model, code = _load_valid_model(args.model)
-    if model is None:
-        return code
+    model = _load_valid_model(args.model)
     override = os.environ.get("STPA_LOC_CATALOG")
     try:
         cat = catalog_mod.load_catalog(override if override else None)
     except catalog_mod.CatalogFormatError as exc:
         return _fail(f"bad catalog: {exc}", EXIT_IO)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
     if args.characteristic is not None:
         cat = catalog_mod.filter_entries(cat, ai_characteristic=args.characteristic)
     prompts = catalog_mod.generate_prompts(cat, model)
@@ -182,14 +174,8 @@ def cmd_prompts(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from . import analysis, report
 
-    model, code = _load_valid_model(args.model)
-    if model is None:
-        return code
-    try:
-        source = _read_text(args.scenarios)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
-    scenarios, diagnostics = parse_scenarios(source, model, file=args.scenarios)
+    model = _load_valid_model(args.model)
+    scenarios, diagnostics = parse_scenarios(_read_text(args.scenarios), model, file=args.scenarios)
     _print_diagnostics(diagnostics, args.scenarios)
     if has_errors(diagnostics):
         return EXIT_INVALID
@@ -210,9 +196,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_ledger(args: argparse.Namespace) -> int:
-    model, code = _load_valid_model(args.model)
-    if model is None:
-        return code
+    model = _load_valid_model(args.model)
     if args.ledger_cmd == "exposure":
         return _ledger_command(args, model)
     import fcntl  # POSIX only
@@ -220,12 +204,12 @@ def cmd_ledger(args: argparse.Namespace) -> int:
     # Writers take turns on a lock file beside the ledger, held from load to
     # save. Not on the ledger itself: the save replaces its inode.
     target = Path(os.path.realpath(args.ledger))
-    try:
-        lock = open(target.with_name(f".{target.name}.lock"), "ab")
-    except OSError as exc:
-        return _fail(str(OSError(exc.errno, exc.strerror, args.ledger)), EXIT_IO)
-    with lock:
-        fcntl.flock(lock, fcntl.LOCK_EX)
+    with ExitStack() as stack:
+        try:
+            lock = stack.enter_context(open(target.with_name(f".{target.name}.lock"), "ab"))
+            fcntl.flock(lock, fcntl.LOCK_EX)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, args.ledger) from None
         return _ledger_command(args, model)
 
 
@@ -237,10 +221,8 @@ def _ledger_command(args: argparse.Namespace, model: ControlStructureModel) -> i
             ledger = analysis.ledger_load(args.ledger, model)
         else:
             ledger = analysis.Ledger.for_model(model)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
     except analysis.LedgerFormatError as exc:
-        return _fail(f"bad ledger file: {exc}", EXIT_IO)
+        return _fail(f"bad ledger file: line {exc.line}: {exc}", EXIT_IO)
     except analysis.AnalysisError as exc:
         return _fail(str(exc), EXIT_INVALID)
 
@@ -268,10 +250,7 @@ def _ledger_command(args: argparse.Namespace, model: ControlStructureModel) -> i
             )
     except (analysis.AnalysisError, ValueError) as exc:
         return _fail(str(exc), EXIT_INVALID)
-    try:
-        analysis.ledger_save(ledger, args.ledger)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
+    analysis.ledger_save(ledger, args.ledger)
     return EXIT_OK
 
 
@@ -352,26 +331,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help
-        return int(exc.code or 0)
-    try:
-        code = args.func(args)
-        # Flush inside the guard: with a block-buffered pipe the first
+        try:
+            args = build_parser().parse_args(argv)
+            code = args.func(args)
+        except SystemExit as exc:
+            # 2 for bad usage and 0 for --help from argparse, 1 for an invalid model
+            code = int(exc.code or 0)
+        # Flush inside the guard: with a block-buffered stdout the first
         # real write can happen at interpreter exit, too late to catch.
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # The consumer of stdout went away (for example the command was
-        # piped into head).  Point the descriptor at devnull so the
-        # interpreter's exit-time flush cannot raise a second time, then
-        # report the shell convention for a pipe death, 128 + SIGPIPE.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return 141
+    except OSError as exc:
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # Stdout failed (a closed pipe, a full disk) and still holds the
+            # bytes: point it at devnull, or the exit-time flush raises again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return 141  # the shell convention for a pipe death, 128 + SIGPIPE
+        return _fail(str(exc), EXIT_IO)
 
 
 if __name__ == "__main__":

@@ -638,6 +638,15 @@ def test_register_is_functional(host):
         one["V-9"]
 
 
+def test_ledger_iterates_its_records_and_holds_their_ids(host):
+    ledger = ledger_register(ledger_register(Ledger.for_model(host), record("V-1")), record("V-2"))
+    assert list(ledger) == list(ledger.records)
+    assert [rec.id for rec in ledger] == ["V-1", "V-2"]
+    assert "V-2" in ledger
+    assert "V-9" not in ledger
+    assert "V-1" not in Ledger.for_model(host)
+
+
 def test_register_duplicate_id(host):
     ledger = ledger_register(Ledger.for_model(host), record())
     with pytest.raises(DuplicateId):
@@ -813,7 +822,7 @@ def test_ledger_load_reports_first_offending_line(host, tmp_path):
         pytest.param(b"not json", "Expecting value: line 1 column 1 (char 0)", id="not-json"),
         pytest.param(b"[]", "ledger line is not a JSON object: []", id="not-an-object"),
         pytest.param(b'{"id": "V-9"}', "'description'", id="missing-field"),
-        pytest.param(b"[" * 2000 + b"]" * 2000, "line 3: JSON nested too deeply", id="nested-too-deeply"),
+        pytest.param(b"[" * 2000 + b"]" * 2000, "JSON nested too deeply", id="nested-too-deeply"),
         pytest.param(b'{"id": "\xff"}', "'utf-8' codec can't decode byte 0xff in position ", id="not-utf8"),
     ],
 )

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import importlib
 import io
 import json
@@ -658,6 +659,27 @@ def test_ledger_add_to_missing_directory_is_io_error(ledger_env, tmp_path):
     assert "ledger.jsonl" in err
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new-ledger", "existing-ledger"])
+def test_failed_ledger_lock_is_io_error_that_names_the_ledger(ledger_env, tmp_path, monkeypatch, existing):
+    import fcntl
+
+    _, model = ledger_env
+    monkeypatch.chdir(tmp_path)
+    ledger = "ledger.jsonl"  # as typed: not the lock file, not the resolved path
+    if existing:
+        assert run_cli(add_args(ledger, model))[0] == 0
+    before = Path(ledger).read_bytes() if existing else None
+
+    def refuse(_file, _operation):
+        raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+    monkeypatch.setattr(fcntl, "flock", refuse)
+    code, out, err = run_cli(add_args(ledger, model, record_id="V-2"))
+    assert (code, out) == (3, "")
+    assert err == f"stpa-loc: error: [Errno {errno.ENOLCK}] {os.strerror(errno.ENOLCK)}: 'ledger.jsonl'\n"
+    assert (Path(ledger).read_bytes() if Path(ledger).exists() else None) == before
+
+
 def test_ledger_resolve_unwritable_file_is_io_error(ledger_env, monkeypatch):
     ledger, model = ledger_env
     run_cli(add_args(ledger, model))
@@ -747,7 +769,7 @@ def test_ledger_line_that_no_save_could_write_is_io_error(ledger_env, line, mess
     for argv in (["ledger", "exposure", ledger, "--model", model], add_args(ledger, model, record_id="V-2")):
         code, out, err = run_cli(argv)
         assert (code, out) == (3, ""), argv[1]
-        assert err.startswith(f"stpa-loc: error: bad ledger file: {message}"), argv[1]
+        assert err.startswith(f"stpa-loc: error: bad ledger file: line 1: {message}"), argv[1]
     assert Path(ledger).read_bytes() == before
 
 
@@ -910,6 +932,42 @@ def test_closed_stdout_pipe_exits_141_without_traceback(tmp_path):
             stream.close()
     assert code == 141
     assert stderr.getvalue() == ""
+
+
+class FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_failed_stdout_write_is_io_error():
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(FullStdout()), contextlib.redirect_stderr(stderr):
+        code = cli_main(["ucas", str(MODEL_PATH)])
+    assert (code, stderr.getvalue()) == (3, "stpa-loc: error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [
+        pytest.param(["ucas", str(MODEL_PATH)], False, id="ucas-buffered"),
+        pytest.param(["ucas", str(MODEL_PATH)], True, id="ucas-unbuffered"),
+        # unbuffered, argparse itself drops a help text it cannot write
+        pytest.param(["--help"], False, id="help-buffered"),
+    ],
+)
+def test_stdout_on_a_full_device_exits_3_with_one_error_line(argv, unbuffered):
+    """A block-buffered stdout keeps the bytes a failed flush could not write,
+    so the interpreter's exit-time flush must not meet them again."""
+    env = dict(os.environ, PYTHONPATH=str(Path(analysis.__file__).parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "stpa_loc.cli", *argv], stdout=full, stderr=subprocess.PIPE, env=env, timeout=60
+        )
+    assert (done.returncode, done.stderr) == (3, b"stpa-loc: error: [Errno 28] No space left on device\n")
 
 
 # --------------------------------------------------------------------------

@@ -41,6 +41,15 @@ def test_public_name_is_the_object_its_home_module_defines(name):
     assert getattr(importlib.import_module(value.__module__), name) is value
 
 
+def test_home_modules_with_all_list_every_name_the_package_takes_from_them():
+    missing = [
+        f"{module}.{name}"
+        for name, module in stpa_loc._HOME.items()
+        if name not in getattr(importlib.import_module(f"stpa_loc.{module}"), "__all__", (name,))
+    ]
+    assert missing == []
+
+
 def test_star_import_and_dir_cover_all_before_any_access():
     out = run_fresh(
         "import stpa_loc; listed = set(dir(stpa_loc)); bound = {}; "
