@@ -5,14 +5,15 @@ Exit codes are part of the interface and stay stable:
       0  success
       1  validation or analysis errors in the inputs
       2  usage error (bad flags or arguments)
-      3  I/O or data-format error (unreadable file, bad catalog, a failed
-         write to standard output, for example a full disk)
+      3  I/O or data-format error (unreadable file, bad catalog, a closed
+         standard output or a failed write to it, for example a full disk)
     141  the consumer of standard output closed the pipe early (128 + SIGPIPE)
 
 Machine-readable output goes to standard output; diagnostics and error
-messages go to standard error. Commands write no file except the ledger of
-``ledger add`` and ``ledger resolve``, their ``.<name>.lock`` beside it and
-the ``.<name>.<pid>.tmp`` file a save renames over it. The STPA_LOC_CATALOG
+messages go to standard error, or nowhere if it is closed or cannot take
+them. Commands write no file except the ledger of ``ledger add`` and
+``ledger resolve``, their ``.<name>.lock`` beside it and the
+``.<name>.<pid>.tmp`` file a save renames over it. The STPA_LOC_CATALOG
 environment variable points ``prompts`` at a replacement catalog file.
 """
 
@@ -53,14 +54,22 @@ _DIRECTIONS = {
 }
 
 
+def _print_stderr(*lines: str) -> None:
+    try:
+        for line in lines:
+            print(line, file=sys.stderr)
+        sys.stderr.flush()
+    except OSError:  # a full disk or closed pipe; its unwritten bytes would make the exit-time flush exit 120
+        sys.stderr = io.StringIO()
+
+
 def _fail(message: str, code: int) -> int:
-    print(f"stpa-loc: error: {message}", file=sys.stderr)
+    _print_stderr(f"stpa-loc: error: {message}")
     return code
 
 
 def _print_diagnostics(diagnostics: list[Diagnostic], file: str) -> None:
-    for diag in diagnostics:
-        print(format_diagnostic(diag, default_file=file), file=sys.stderr)
+    _print_stderr(*(format_diagnostic(diag, default_file=file) for diag in diagnostics))
 
 
 def _read_text(path: str) -> str:
@@ -258,8 +267,13 @@ def _ledger_command(args: argparse.Namespace, model: ControlStructureModel) -> i
 # Argument wiring
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:  # argparse drops a failed write; this one reaches main
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="stpa-loc",
         description="Hazard analysis for control structures with AI components.",
     )
@@ -331,6 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if sys.stderr is None:  # descriptor 2 is closed: messages, argparse's too, go nowhere, not to stdout
+        sys.stderr = io.StringIO()
+    if sys.stdout is None:  # descriptor 1 is closed
+        return _fail("standard output is closed", EXIT_IO)
     try:
         try:
             args = build_parser().parse_args(argv)
@@ -341,6 +359,7 @@ def main(argv: list[str] | None = None) -> int:
         # Flush inside the guard: with a block-buffered stdout the first
         # real write can happen at interpreter exit, too late to catch.
         sys.stdout.flush()
+        _print_stderr()  # argparse drops a failed write to stderr, but not its bytes
         return code
     except OSError as exc:
         try:

@@ -126,16 +126,6 @@ _NATURE_ATTRS = {
     ),
 }
 
-_ITEM_KEYWORDS = frozenset(_COMPONENT_KEYWORDS) | {
-    "lifecycle",
-    "loss",
-    "hazard",
-    "constraint",
-    "control_action",
-    "feedback",
-    "annotate",
-}
-
 
 # --------------------------------------------------------------------------
 # Lexer
@@ -316,6 +306,7 @@ def _group_token(m: re.Match[str], group: str, file: str, line: int, line_start:
 class _Parser:
     kind: str  # the file kind whose fast pattern the parser uses
     uca_limit = MAX_IDENTIFIER_LENGTH  # the longest uca: value the lexer lets pass
+    ITEMS: dict  # each declaration keyword and the handler that reads the rest of its item
 
     def __init__(self, tokens: list[Token], diags: list[Diagnostic]):
         self.tokens = tokens
@@ -370,6 +361,22 @@ class _Parser:
         while self.pos == len(self.tokens):
             self.resume(self.end, self.end_line)
         return self.tokens[self.pos].kind not in (RBRACE, EOF)
+
+    def body(self) -> None:
+        self.expect(LBRACE, "'{'")
+        while self.at_item():
+            self.item()
+        self.expect(RBRACE, "'}'")
+
+    def item(self) -> None:
+        """Run the handler of the item's keyword, or complain and skip to the next keyword."""
+        tok = self.advance()
+        handler = self.ITEMS.get(tok.text) if tok.kind == IDENT else None
+        if handler is None:
+            self.stray(tok)
+            self.sync_to()
+        else:
+            handler(self, tok.text)
 
     # -- token plumbing ----------------------------------------------------
 
@@ -432,12 +439,12 @@ class _Parser:
         self.advance()
         return self.ident_list()
 
-    def sync_to(self, keywords: frozenset[str]) -> None:
-        """Skip ahead to the next plausible declaration start, or to the end of
-        the stretch, where a line that starts with an item keyword begins."""
+    def sync_to(self) -> None:
+        """Skip ahead to the next declaration keyword, or to the end of the
+        stretch, where a line that starts with an item keyword begins."""
         while self.pos < len(self.tokens):
             tok = self.tokens[self.pos]
-            if tok.kind in (RBRACE, EOF) or (tok.kind == IDENT and tok.text in keywords):
+            if tok.kind in (RBRACE, EOF) or (tok.kind == IDENT and tok.text in self.ITEMS):
                 return
             self.pos += 1
 
@@ -516,50 +523,25 @@ class _ModelParser(_Parser):
             name_tok = self.expect(STRING, "the system name string")
             if name_tok is not None:
                 self.name = name_tok.text
-            self.expect(LBRACE, "'{'")
-            while self.at_item():
-                self.item()
-            self.expect(RBRACE, "'}'")
+            self.body()
         return ControlStructureModel(name=self.name, lifecycle=self.lifecycle, **self.collections)
 
-    def item(self) -> None:
-        tok = self.peek()
+    def stray(self, tok: Token) -> None:
         if tok.kind != IDENT:
             self.unexpected("a declaration", tok)
-            self.advance()
-            self.sync_to(_ITEM_KEYWORDS)
-            return
-        word = tok.text
-        if word == "lifecycle":
-            self.advance()
-            self.expect(COLON, "':'")
-            phase = self.enum_token(LifecyclePhase, "lifecycle phase")
-            if phase is not None:
-                self.lifecycle = phase
-        elif word in _COMPONENT_KEYWORDS:
-            self.component_item(_COMPONENT_KEYWORDS[word])
-        elif word == "loss":
-            self.loss_item()
-        elif word == "hazard":
-            self.hazard_item()
-        elif word == "constraint":
-            self.constraint_item()
-        elif word == "control_action":
-            self.channel_item(control=True)
-        elif word == "feedback":
-            self.channel_item(control=False)
-        elif word == "annotate":
-            self.annotate_item()
         else:
-            self.error("UnknownKeyword", f"unknown declaration keyword {word!r}", tok)
-            self.advance()
-            self.sync_to(_ITEM_KEYWORDS)
+            self.error("UnknownKeyword", f"unknown declaration keyword {tok.text!r}", tok)
 
-    def component_item(self, kind: ComponentKind) -> None:
-        self.advance()
+    def lifecycle_item(self, _word: str) -> None:
+        self.expect(COLON, "':'")
+        phase = self.enum_token(LifecyclePhase, "lifecycle phase")
+        if phase is not None:
+            self.lifecycle = phase
+
+    def component_item(self, word: str) -> None:
         id_tok = self.expect(IDENT, "a component id")
         if id_tok is None:
-            self.sync_to(_ITEM_KEYWORDS)
+            self.sync_to()
             return
         nature = AgentNature.AUTOMATED
         notes = ""
@@ -586,29 +568,28 @@ class _ModelParser(_Parser):
                     if self.peek().kind in (IDENT, STRING):
                         self.advance()
             self.expect(RBRACE, "'}'")
-        component = Component(id=id_tok.text, name=id_tok.text, kind=kind, agent_nature=nature, notes=notes)
+        component = Component(id_tok.text, id_tok.text, _COMPONENT_KEYWORDS[word], nature, notes)
         self.claim_id(id_tok, "component", component)
 
     def declaration(self, what: str, text_what: str, keyword: str | None = None) -> tuple[Token, Token] | None:
         """The id and text tokens after an item keyword, and its next ``keyword``
         if one is given; None, after a sync to the next item, if they are not there."""
-        self.advance()
         id_tok = self.expect(IDENT, f"a {what} id")
         text_tok = self.expect(STRING, text_what)
         if id_tok is None or text_tok is None or (keyword is not None and not self.expect_keyword(keyword)):
-            self.sync_to(_ITEM_KEYWORDS)
+            self.sync_to()
             return None
         return id_tok, text_tok
 
-    def loss_item(self) -> None:
+    def loss_item(self, _word: str) -> None:
         if head := self.declaration("loss", "the loss description"):
             self.claim_id(head[0], "loss", Loss(head[0].text, head[1].text))
 
-    def hazard_item(self) -> None:
+    def hazard_item(self, _word: str) -> None:
         if head := self.declaration("hazard", "the hazard description", "leads_to"):
             self.claim_id(head[0], "hazard", Hazard(head[0].text, head[1].text, frozenset(self.ident_list())))
 
-    def constraint_item(self) -> None:
+    def constraint_item(self, _word: str) -> None:
         if head := self.declaration("constraint", "the constraint text", "mitigates"):
             mitigates, enforced_by = frozenset(self.ident_list()), frozenset(self.ids_after("enforced_by"))
             self.claim_id(head[0], "constraint", SafetyConstraint(head[0].text, head[1].text, mitigates, enforced_by))
@@ -617,14 +598,15 @@ class _ModelParser(_Parser):
         what, cls = ("control action", ControlAction) if control else ("feedback channel", FeedbackChannel)
         self.claim_id(tok, what, cls(id=tok.text, label=label, source=source, target=target, via=via))
 
-    def channel_item(self, control: bool) -> None:
+    def channel_item(self, word: str) -> None:
+        control = word == "control_action"
         what = "control action" if control else "feedback channel"
         if not (head := self.declaration(what, f"the {what} label", "from")):
             return
         source_tok = self.expect(IDENT, "the source component id")
         target_tok = source_tok and self.expect_keyword("to") and self.expect(IDENT, "the target component id")
         if not target_tok:
-            self.sync_to(_ITEM_KEYWORDS)
+            self.sync_to()
             return
         via: str | None = None
         if self.at(IDENT, "via"):
@@ -634,15 +616,25 @@ class _ModelParser(_Parser):
                 via = via_tok.text
         self.channel(head[0], control, head[1].text, source_tok.text, target_tok.text, via)
 
-    def annotate_item(self) -> None:
-        self.advance()
+    def annotate_item(self, _word: str) -> None:
         ca_tok = self.expect(IDENT, "a control action id")
         uca_type = ca_tok and self.enum_token(UcaType, "UCA type")
         context_tok = uca_type and self.expect_keyword("context") and self.expect(STRING, "the context string")
         if not context_tok:
-            self.sync_to(_ITEM_KEYWORDS)
+            self.sync_to()
             return
         self.annotate(ca_tok, uca_type, context_tok.text, self.ids_after("hazards"))
+
+    ITEMS = {
+        "lifecycle": lifecycle_item,
+        **dict.fromkeys(_COMPONENT_KEYWORDS, component_item),
+        "loss": loss_item,
+        "hazard": hazard_item,
+        "constraint": constraint_item,
+        **dict.fromkeys(("control_action", "feedback"), channel_item),
+        "annotate": annotate_item,
+    }
+
 
 def parse_model(source_text: str, file: str = "<stpa>") -> tuple[ControlStructureModel, list[Diagnostic]]:
     """Parse `.stpa` source into a model plus diagnostics.
@@ -727,10 +719,17 @@ def serialize_model(model: ControlStructureModel) -> str:
 class _ScenarioParser(_Parser):
     kind = "scenarios"
     uca_limit = _UCA_ID_LIMIT
-    _KEYWORDS = frozenset({"scenario"})
-    _FIELDS = frozenset(
-        {"origin", "uca", "type", "sub_types", "factors", "characteristics", "catalog", "description"}
-    )
+    # each grammar field and the LossScenario argument it fills
+    _FIELDS = {
+        "origin": "origin_component",
+        "uca": "uca",
+        "type": "scenario_type",
+        "sub_types": "sub_types",
+        "factors": "causal_factors",
+        "characteristics": "ai_characteristics",
+        "catalog": "catalog_refs",
+        "description": "description",
+    }
 
     def __init__(self, tokens: list[Token], diags: list[Diagnostic], model: ControlStructureModel):
         super().__init__(tokens, diags)
@@ -740,39 +739,31 @@ class _ScenarioParser(_Parser):
 
     def fast_item(self, m: re.Match[str], line: int, line_start: int) -> None:
         fields = {
-            "origin": m["origin"],
+            "origin_component": m["origin"],
             "uca": m["uca"],
-            "type": ScenarioType(m["type"]),
+            "scenario_type": ScenarioType(m["type"]),
             "sub_types": [ScenarioSubType(word) for word in _split(m["sub_types"])],
-            "factors": [CausalFactorType(word) for word in _split(m["factors"])],
-            "characteristics": [AiCharacteristic(word) for word in _split(m["characteristics"])],
-            "catalog": _split(m["catalog"]),
+            "causal_factors": [CausalFactorType(word) for word in _split(m["factors"])],
+            "ai_characteristics": [AiCharacteristic(word) for word in _split(m["characteristics"])],
+            "catalog_refs": _split(m["catalog"]),
             "description": _unescape(m["description"]),
         }
         self.add_scenario(_group_token(m, "id", self.file, line, line_start), fields)
 
     def parse(self) -> list[LossScenario]:
-        if not self.expect_keyword("scenarios"):
-            return self.scenarios
-        if self.at(STRING):
-            self.advance()
-        self.expect(LBRACE, "'{'")
-        while self.at_item():
-            if self.at(IDENT, "scenario"):
-                self.scenario_item()
-            else:
-                tok = self.peek()
-                self.error("UnknownKeyword", f"expected 'scenario', found {tok.text!r}", tok)
+        if self.expect_keyword("scenarios"):
+            if self.at(STRING):
                 self.advance()
-                self.sync_to(self._KEYWORDS)
-        self.expect(RBRACE, "'}'")
+            self.body()
         return self.scenarios
 
-    def scenario_item(self) -> None:
-        self.advance()
+    def stray(self, tok: Token) -> None:
+        self.error("UnknownKeyword", f"expected 'scenario', found {tok.text!r}", tok)
+
+    def scenario_item(self, _word: str) -> None:
         id_tok = self.expect(IDENT, "a scenario id")
         if id_tok is None or self.expect(LBRACE, "'{'") is None:
-            self.sync_to(self._KEYWORDS)
+            self.sync_to()
             return
         fields: dict[str, object] = {}
         broken = False
@@ -784,12 +775,9 @@ class _ScenarioParser(_Parser):
             name = field_tok.text
             if name not in self._FIELDS:
                 self.error("UnknownKeyword", f"unknown scenario field {name!r}", field_tok)
-                broken = True
-                break
-            value: object | None
-            if name in ("origin", "uca"):
-                tok = self.expect(IDENT, "an identifier")
-                value = tok.text if tok is not None else None
+                value = None
+            elif name in ("origin", "uca"):
+                value = (tok := self.expect(IDENT, "an identifier")) and tok.text
             elif name == "type":
                 value = self.enum_token(ScenarioType, "scenario type")
             elif name == "sub_types":
@@ -801,12 +789,11 @@ class _ScenarioParser(_Parser):
             elif name == "catalog":
                 value = self.ident_list() or None
             else:
-                tok = self.expect(STRING, "the description string")
-                value = tok.text if tok is not None else None
+                value = (tok := self.expect(STRING, "the description string")) and tok.text
             if value is None:
                 broken = True
                 break
-            fields[name] = value
+            fields[self._FIELDS[name]] = value
         self.expect(RBRACE, "'}'")
         if not broken:
             self.add_scenario(id_tok, fields)
@@ -816,34 +803,25 @@ class _ScenarioParser(_Parser):
             self.error("DuplicateId", f"scenario id {id_tok.text} already declared", id_tok)
             return
         self.seen_ids.add(id_tok.text)
-        missing = [f for f in ("origin", "type", "sub_types", "factors", "description") if f not in fields]
+        required = ("origin", "type", "sub_types", "factors", "description")
+        missing = [name for name in required if self._FIELDS[name] not in fields]
         if missing:
             message = f"scenario {id_tok.text} is missing required field(s): {', '.join(missing)}"
             self.error("MissingField", message, id_tok)
             return
-        origin_id = fields["origin"]
-        component = self.model.components.get(origin_id)
+        component = self.model.components.get(fields["origin_component"])
         if component is None:
-            message = f"scenario {id_tok.text} origin {origin_id} is not a model component"
+            message = f"scenario {id_tok.text} origin {fields['origin_component']} is not a model component"
             self.error("DanglingComponentRef", message, id_tok)
             return
         try:
-            scenario = LossScenario(
-                id=id_tok.text,
-                origin_component=origin_id,
-                origin_kind=component.kind,
-                scenario_type=fields["type"],
-                sub_types=frozenset(fields["sub_types"]),
-                causal_factors=frozenset(fields["factors"]),
-                ai_characteristics=frozenset(fields.get("characteristics", [])),
-                description=fields["description"],
-                uca=fields.get("uca"),
-                catalog_refs=frozenset(fields.get("catalog", [])),
-            )
+            scenario = LossScenario(id=id_tok.text, origin_kind=component.kind, **fields)
         except ValueError as exc:
             self.error("IllegalScenario", str(exc), id_tok)
             return
         self.scenarios.append(scenario)
+
+    ITEMS = {"scenario": scenario_item}
 
 
 def parse_scenarios(

@@ -952,8 +952,8 @@ def test_failed_stdout_write_is_io_error():
     [
         pytest.param(["ucas", str(MODEL_PATH)], False, id="ucas-buffered"),
         pytest.param(["ucas", str(MODEL_PATH)], True, id="ucas-unbuffered"),
-        # unbuffered, argparse itself drops a help text it cannot write
         pytest.param(["--help"], False, id="help-buffered"),
+        pytest.param(["--help"], True, id="help-unbuffered"),
     ],
 )
 def test_stdout_on_a_full_device_exits_3_with_one_error_line(argv, unbuffered):
@@ -968,6 +968,68 @@ def test_stdout_on_a_full_device_exits_3_with_one_error_line(argv, unbuffered):
             [sys.executable, "-m", "stpa_loc.cli", *argv], stdout=full, stderr=subprocess.PIPE, env=env, timeout=60
         )
     assert (done.returncode, done.stderr) == (3, b"stpa-loc: error: [Errno 28] No space left on device\n")
+
+
+CLOSED_STREAM_ADD = add_args("ledger.jsonl", str(MODEL_PATH), record_id="V-9", component="ChatMonitor")
+
+
+@pytest.mark.parametrize(
+    "fd, how, argv, code",
+    [
+        pytest.param(1, "closed", ["validate", str(MODEL_PATH)], 3, id="validate-stdout-closed"),
+        pytest.param(1, "closed", CLOSED_STREAM_ADD, 3, id="ledger-add-stdout-closed"),
+        pytest.param(2, "closed", ["validate", "missing.stpa"], 3, id="missing-model-stderr-closed"),
+        pytest.param(2, "closed", ["validate", "broken.stpa"], 1, id="invalid-model-stderr-closed"),
+        pytest.param(2, "closed", ["bogus"], 2, id="usage-error-stderr-closed"),
+        pytest.param(2, "closed", CLOSED_STREAM_ADD, 0, id="ledger-add-stderr-closed"),
+        pytest.param(2, "full", ["validate", "missing.stpa"], 3, id="missing-model-stderr-full"),
+        pytest.param(2, "full", ["validate", "broken.stpa"], 1, id="invalid-model-stderr-full"),
+        pytest.param(2, "full", ["bogus"], 2, id="usage-error-stderr-full"),
+        pytest.param(2, "pipe", ["validate", "missing.stpa"], 3, id="missing-model-stderr-pipe-closed"),
+        pytest.param(2, "pipe", ["validate", "broken.stpa"], 1, id="invalid-model-stderr-pipe-closed"),
+        pytest.param(2, "pipe", ["bogus"], 2, id="usage-error-stderr-pipe-closed"),
+    ],
+)
+def test_closed_or_full_standard_stream_keeps_the_exit_code(tmp_path, monkeypatch, fd, how, argv, code):
+    """A closed stdout is an I/O failure before any command runs; messages for
+    a closed or full stderr, or one whose pipe has no reader, are dropped,
+    never written to stdout."""
+    if how == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    write(tmp_path, "broken.stpa", BROKEN_MODEL)
+    (tmp_path / "ledger.jsonl").write_bytes(FUZZ_LEDGER)
+    expected_ledger = FUZZ_LEDGER
+    if code == 0:  # the ledger an in-process run with working streams writes
+        reference = tmp_path / "reference"
+        reference.mkdir()
+        (reference / "ledger.jsonl").write_bytes(FUZZ_LEDGER)
+        monkeypatch.chdir(reference)
+        assert run_cli(argv) == (0, "", "")
+        expected_ledger = (reference / "ledger.jsonl").read_bytes()
+
+    def redirect():  # runs in the child, after the pipes are in place
+        if how == "closed":
+            os.close(fd)
+        elif how == "full":
+            os.dup2(os.open("/dev/full", os.O_WRONLY), fd)
+        else:  # a pipe whose reader is gone
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            os.dup2(write_end, fd)
+
+    env = dict(os.environ, PYTHONPATH=str(Path(analysis.__file__).parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)  # the streams keep the bytes a failed write leaves
+    done = subprocess.run(
+        [sys.executable, "-m", "stpa_loc.cli", *argv],
+        capture_output=True, cwd=tmp_path, env=env, preexec_fn=redirect, timeout=60,
+    )
+    assert done.returncode == code
+    assert b"Traceback" not in done.stdout + done.stderr
+    if fd == 1:
+        assert done.stderr == b"stpa-loc: error: standard output is closed\n"
+    else:
+        assert done.stdout == b""
+    assert (tmp_path / "ledger.jsonl").read_bytes() == expected_ledger
 
 
 # --------------------------------------------------------------------------

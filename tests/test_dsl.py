@@ -370,6 +370,13 @@ PARSER_CASES = [
         [("UnknownKeyword", "unknown declaration keyword 'gadget'", 2, 3, 6)],
         id="unknown-keyword",
     ),
+    # a token that starts no declaration is skipped up to the next keyword, which parses
+    pytest.param(
+        "model",
+        'system "x" {\n  : loss L-1 "a"\n}',
+        [("UnexpectedToken", "expected a declaration, found ':'", 2, 3, 1)],
+        id="stray-punctuation-before-a-declaration",
+    ),
     pytest.param(
         "model",
         'system "x" {\n  controller C {colour: red}\n}',
@@ -450,6 +457,12 @@ PARSER_CASES = [
         "scenarios {\n  nonsense\n}",
         [("UnknownKeyword", "expected 'scenario', found 'nonsense'", 2, 3, 8)],
         id="unknown-scenario-keyword",
+    ),
+    pytest.param(
+        "scenarios",
+        f'scenarios {{\n  "x" scenario S-1 {{ {SCENARIO_BODY} }}\n}}',
+        [("UnknownKeyword", "expected 'scenario', found 'x'", 2, 3, 3)],
+        id="stray-string-before-a-scenario",
     ),
     pytest.param(
         "scenarios",
