@@ -28,8 +28,9 @@ import os
 import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
-from typing import Container, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .model import (
     CausalFactorType,
@@ -460,13 +461,15 @@ class Ledger:
         return len(self.records)
 
     def __getitem__(self, record_id: str) -> VulnerabilityRecord:
-        for record in self.records:
-            if record.id == record_id:
-                return record
-        raise KeyError(record_id)
+        return self.records[self._positions[record_id]]
 
     def __contains__(self, record_id: str) -> bool:
-        return any(record.id == record_id for record in self.records)
+        return record_id in self._positions
+
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        """Where each id first appears in ``records``, built once per ledger value."""
+        return {record.id: position for position, record in reversed(tuple(enumerate(self.records)))}
 
 
 def ledger_register(ledger: Ledger, record: VulnerabilityRecord) -> Ledger:
@@ -476,17 +479,19 @@ def ledger_register(ledger: Ledger, record: VulnerabilityRecord) -> Ledger:
     :class:`UnknownComponent` when the record's component is not part of
     the anchored model.
     """
-    _check_admissible(record, {existing.id for existing in ledger.records}, ledger)
-    return replace(ledger, records=ledger.records + (record,))
+    return _admit(ledger, (record,))
 
 
-def _check_admissible(record: VulnerabilityRecord, taken_ids: Container[str], ledger: Ledger) -> None:
-    if record.id in taken_ids:
-        raise DuplicateId(f"ledger already holds record {record.id!r}")
-    if record.component not in ledger.components:
-        raise UnknownComponent(
-            f"record {record.id} names unknown component {record.component!r}"
-        )
+def _admit(ledger: Ledger, records: Iterable[VulnerabilityRecord]) -> Ledger:
+    """``ledger`` with ``records`` appended, each checked as :func:`ledger_register` documents."""
+    admitted: dict[str, VulnerabilityRecord] = {}
+    for record in records:
+        if record.id in ledger or record.id in admitted:
+            raise DuplicateId(f"ledger already holds record {record.id!r}")
+        if record.component not in ledger.components:
+            raise UnknownComponent(f"record {record.id} names unknown component {record.component!r}")
+        admitted[record.id] = record
+    return replace(ledger, records=ledger.records + tuple(admitted.values()))
 
 
 def ledger_resolve(ledger: Ledger, record_id: str, closed_at: datetime) -> Ledger:
@@ -496,15 +501,14 @@ def ledger_resolve(ledger: Ledger, record_id: str, closed_at: datetime) -> Ledge
     if the record is already closed or ``closed_at`` precedes the
     record's opening.
     """
-    for index, record in enumerate(ledger.records):
-        if record.id != record_id:
-            continue
-        if record.closed_at is not None:
-            raise ValueError(f"record {record_id!r} is already closed")
-        closed = replace(record, closed_at=closed_at)
-        records = ledger.records[:index] + (closed,) + ledger.records[index + 1 :]
-        return replace(ledger, records=records)
-    raise UnknownRecord(f"no ledger record {record_id!r}")
+    index = ledger._positions.get(record_id)
+    if index is None:
+        raise UnknownRecord(f"no ledger record {record_id!r}")
+    record = ledger.records[index]
+    if record.closed_at is not None:
+        raise ValueError(f"record {record_id!r} is already closed")
+    closed = replace(record, closed_at=closed_at)
+    return replace(ledger, records=ledger.records[:index] + (closed,) + ledger.records[index + 1 :])
 
 
 def ledger_exposure(ledger: Ledger, as_of: datetime) -> dict:
@@ -604,14 +608,17 @@ def ledger_save(ledger: Ledger, path: str | Path) -> None:
 def ledger_load(path: str | Path, model: ControlStructureModel) -> Ledger:
     """Rebuild a ledger from disk, re-anchoring to ``model``.
 
-    Every stored record passes :func:`ledger_register`'s checks in one
-    pass, so a record naming a component the current model no longer
+    Every stored record passes :func:`ledger_register`'s checks in the
+    same loop, so a record naming a component the current model no longer
     has fails with :class:`UnknownComponent`, a repeated id with
     :class:`DuplicateId`. A line that is not UTF-8, not JSON, nested too
     deeply or not a well-formed record raises :class:`LedgerFormatError`.
     """
-    ledger = Ledger.for_model(model)
-    records: dict[str, VulnerabilityRecord] = {}
+    return _admit(Ledger.for_model(model), _read_records(path))
+
+
+def _read_records(path: str | Path) -> Iterator[VulnerabilityRecord]:
+    """The ledger file's records in file order, one line decoded per step."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -627,6 +634,4 @@ def ledger_load(path: str | Path, model: ControlStructureModel) -> Ledger:
             raise LedgerFormatError("JSON nested too deeply", number) from None
         except (ValueError, KeyError) as exc:
             raise LedgerFormatError(str(exc), number) from exc
-        _check_admissible(record, records, ledger)
-        records[record.id] = record
-    return replace(ledger, records=tuple(records.values()))
+        yield record

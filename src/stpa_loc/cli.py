@@ -205,62 +205,53 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_ledger(args: argparse.Namespace) -> int:
-    model = _load_valid_model(args.model)
-    if args.ledger_cmd == "exposure":
-        return _ledger_command(args, model)
-    import fcntl  # POSIX only
-
-    # Writers take turns on a lock file beside the ledger, held from load to
-    # save. Not on the ledger itself: the save replaces its inode.
-    target = Path(os.path.realpath(args.ledger))
-    with ExitStack() as stack:
-        try:
-            lock = stack.enter_context(open(target.with_name(f".{target.name}.lock"), "ab"))
-            fcntl.flock(lock, fcntl.LOCK_EX)
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, args.ledger) from None
-        return _ledger_command(args, model)
-
-
-def _ledger_command(args: argparse.Namespace, model: ControlStructureModel) -> int:
     from . import analysis
 
-    try:
-        if Path(args.ledger).exists():
-            ledger = analysis.ledger_load(args.ledger, model)
-        else:
-            ledger = analysis.Ledger.for_model(model)
-    except analysis.LedgerFormatError as exc:
-        return _fail(f"bad ledger file: line {exc.line}: {exc}", EXIT_IO)
-    except analysis.AnalysisError as exc:
-        return _fail(str(exc), EXIT_INVALID)
+    model = _load_valid_model(args.model)
+    with ExitStack() as stack:
+        if args.ledger_cmd != "exposure":
+            import fcntl  # POSIX only
 
-    if args.ledger_cmd == "exposure":
-        summary = analysis.ledger_exposure(
-            ledger, args.as_of or datetime.now(timezone.utc)
-        )
-        sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+            # Writers take turns on a lock file beside the ledger, held from load to
+            # save. Not on the ledger itself: the save replaces its inode.
+            target = Path(os.path.realpath(args.ledger))
+            try:
+                lock = stack.enter_context(open(target.with_name(f".{target.name}.lock"), "ab"))
+                fcntl.flock(lock, fcntl.LOCK_EX)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, args.ledger) from None
+        try:
+            if Path(args.ledger).exists():
+                ledger = analysis.ledger_load(args.ledger, model)
+            else:
+                ledger = analysis.Ledger.for_model(model)
+        except analysis.LedgerFormatError as exc:
+            return _fail(f"bad ledger file: line {exc.line}: {exc}", EXIT_IO)
+        except analysis.AnalysisError as exc:
+            return _fail(str(exc), EXIT_INVALID)
+
+        if args.ledger_cmd == "exposure":
+            summary = analysis.ledger_exposure(ledger, args.as_of or datetime.now(timezone.utc))
+            sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+            return EXIT_OK
+
+        try:
+            if args.ledger_cmd == "add":
+                record = analysis.VulnerabilityRecord(
+                    id=args.id,
+                    description=args.description,
+                    component=args.component,
+                    severity=RecordSeverity(args.severity),
+                    opened_at=args.opened_at or datetime.now(timezone.utc),
+                    source=LedgerSource(args.source),
+                )
+                ledger = analysis.ledger_register(ledger, record)
+            else:
+                ledger = analysis.ledger_resolve(ledger, args.id, args.closed_at or datetime.now(timezone.utc))
+        except (analysis.AnalysisError, ValueError) as exc:
+            return _fail(str(exc), EXIT_INVALID)
+        analysis.ledger_save(ledger, args.ledger)
         return EXIT_OK
-
-    try:
-        if args.ledger_cmd == "add":
-            record = analysis.VulnerabilityRecord(
-                id=args.id,
-                description=args.description,
-                component=args.component,
-                severity=RecordSeverity(args.severity),
-                opened_at=args.opened_at or datetime.now(timezone.utc),
-                source=LedgerSource(args.source),
-            )
-            ledger = analysis.ledger_register(ledger, record)
-        else:
-            ledger = analysis.ledger_resolve(
-                ledger, args.id, args.closed_at or datetime.now(timezone.utc)
-            )
-    except (analysis.AnalysisError, ValueError) as exc:
-        return _fail(str(exc), EXIT_INVALID)
-    analysis.ledger_save(ledger, args.ledger)
-    return EXIT_OK
 
 
 # --------------------------------------------------------------------------

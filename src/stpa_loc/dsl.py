@@ -367,6 +367,8 @@ class _Parser:
         while self.at_item():
             self.item()
         self.expect(RBRACE, "'}'")
+        if (tok := self.peek()).kind is not EOF:  # only blank and comment lines may follow the body
+            self.unexpected("end of input", tok)
 
     def item(self) -> None:
         """Run the handler of the item's keyword, or complain and skip to the next keyword."""

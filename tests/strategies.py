@@ -1,6 +1,6 @@
-"""Hypothesis strategies for generating valid control-structure models.
+"""Hypothesis strategies: valid control-structure models and edits of input text.
 
-The generator only produces models that pass validation with no Errors
+The model generator only produces models that pass validation with no Errors
 (warnings such as UnlinkedHazard are fine), so property tests can feed
 them straight into fingerprinting and enumeration. Display names equal
 ids because the modeling language has no separate name slot.
@@ -158,3 +158,66 @@ def models(draw) -> ControlStructureModel:
         feedback_channels=feedback_items,
         annotations=annotation_items,
     )
+
+
+# Edits of model and scenario text, for the fast-prefix differential tests.
+
+EDIT_PIECES = [
+    '"', "\\", "\\q", '\\"', "#", "{", "}", ":", ",", "\n", "\r", "\t", " ", "  ", "\x0c", "é", "x", "-",
+    "\n  , X", "\n  {kind: ai}", "\n  via X", "\n  hazards X", "\n  enforced_by X", "\n  # c\n  , X",
+    "\n  # c\n\n  via X", "\n\t# c\n  hazards X", "\n  # c\n  {notes: \"n\"}", "\n  # c\n  enforced_by X",
+    "x" * 65, "CA-" + "x" * 85, "loss L-1 \"dup\"\n", "uca: ", "not_provided", "true", "kind: ", "scenario",
+    "bogus_word",
+]
+
+edits = st.lists(
+    st.tuples(
+        st.integers(0, 999),
+        st.sampled_from(["insert", "end-of-line", "replace", "delete"]),
+        st.sampled_from(EDIT_PIECES),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def apply_edits(text: str, steps) -> str:
+    for where, how, piece in steps:
+        at = where * len(text) // 1000
+        if how == "end-of-line":
+            at = text.find("\n", at)
+            at = len(text) if at < 0 else at
+        if how in ("insert", "end-of-line"):
+            text = text[:at] + piece + text[at:]
+        elif how == "replace":
+            text = text[:at] + piece + text[at + 1:]
+        else:
+            text = text[:at] + text[at + len(piece):]
+    return text
+
+
+# Edits of file bytes, for the CLI fuzz test.
+
+FUZZ_PIECES = [
+    b'"', b"\\", b"\\q", b"{", b"}", b":", b",", b"\n", b"\r", b"\t", b" ", b"#", b"\xff", b"\xc3", "é".encode(),
+    b"x" * 70, b"-", b"null", b"[", b"]", b"[" * 3000, b"0001-01-01T00:00:00+01:00", b"9999-12-31T23:59:59-01:00",
+    b"\n  via X", b"\n  , X", b"\n\t# c", b"uca: CA-1-not_provided", b"catalog: NO-SUCH-ENTRY", b"type_b",
+    b"origin: Ghost", b'"component": "Ghost"', b'"severity": 3', b'"id": "V-1"', b"scenario", b"system",
+]
+
+byte_edits = st.lists(
+    st.tuples(st.integers(0, 999), st.sampled_from(["insert", "replace", "delete"]), st.sampled_from(FUZZ_PIECES)),
+    max_size=4,
+)
+
+
+def mutate(data: bytes, steps) -> bytes:
+    for where, how, piece in steps:
+        at = where * len(data) // 1000
+        if how == "insert":
+            data = data[:at] + piece + data[at:]
+        elif how == "replace":
+            data = data[:at] + piece + data[at + len(piece):]
+        else:
+            data = data[:at] + data[at + len(piece):]
+    return data

@@ -14,9 +14,9 @@ from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from conftest import GOLDEN_DIR, MODEL_PATH, SCENARIOS_PATH, run_cli
+from strategies import byte_edits, mutate
 from stpa_loc import analysis
 from stpa_loc.catalog import load_catalog
 from stpa_loc.cli import main as cli_main
@@ -209,6 +209,14 @@ def test_validate_unparseable_model(tmp_path):
     code, _, err = run_cli(["validate", model])
     assert code == 1
     assert "UnexpectedToken" in err
+
+
+def test_text_after_the_closing_brace_is_an_error(tmp_path):
+    model = write(tmp_path, "trailing.stpa", MODEL_PATH.read_text(encoding="utf-8") + 'loss L-99 "dropped"\n')
+    line = MODEL_PATH.read_text(encoding="utf-8").count("\n") + 1
+    code, out, err = run_cli(["validate", model])
+    assert (code, out) == (1, "")
+    assert err == f"{model}:{line}:1: error[UnexpectedToken]: expected end of input, found 'loss'\n"
 
 
 def test_validate_missing_file_is_io_error(tmp_path):
@@ -1052,31 +1060,6 @@ FUZZ_LEDGER = "".join(
     + "\n"
     for i in range(1, 4)
 ).encode()
-
-FUZZ_PIECES = [
-    b'"', b"\\", b"\\q", b"{", b"}", b":", b",", b"\n", b"\r", b"\t", b" ", b"#", b"\xff", b"\xc3", "é".encode(),
-    b"x" * 70, b"-", b"null", b"[", b"]", b"[" * 3000, b"0001-01-01T00:00:00+01:00", b"9999-12-31T23:59:59-01:00",
-    b"\n  via X", b"\n  , X", b"\n\t# c", b"uca: CA-1-not_provided", b"catalog: NO-SUCH-ENTRY", b"type_b",
-    b"origin: Ghost", b'"component": "Ghost"', b'"severity": 3', b'"id": "V-1"', b"scenario", b"system",
-]
-
-byte_edits = st.lists(
-    st.tuples(st.integers(0, 999), st.sampled_from(["insert", "replace", "delete"]), st.sampled_from(FUZZ_PIECES)),
-    max_size=4,
-)
-
-
-def mutate(data: bytes, steps) -> bytes:
-    for where, how, piece in steps:
-        at = where * len(data) // 1000
-        if how == "insert":
-            data = data[:at] + piece + data[at:]
-        elif how == "replace":
-            data = data[:at] + piece + data[at + len(piece):]
-        else:
-            data = data[:at] + data[at + len(piece):]
-    return data
-
 
 @settings(
     max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]

@@ -41,7 +41,7 @@ from stpa_loc.model import (
 )
 
 from conftest import MODEL_PATH, SCENARIOS_PATH
-from strategies import models
+from strategies import apply_edits, edits, models
 from test_complexity import scenario_source, synthetic
 
 
@@ -446,6 +446,31 @@ PARSER_CASES = [
         [("DuplicateAnnotation", "control action CA-1 already annotated for not_provided", 3, 12, 4)],
         id="duplicate-annotation",
     ),
+    # only blank and comment lines may follow the closing brace; the first token after it is reported
+    pytest.param(
+        "model",
+        'system "x" {\n  loss L-1 "a"\n}\nloss L-99 "dropped"\n',
+        [("UnexpectedToken", "expected end of input, found 'loss'", 4, 1, 4)],
+        id="declaration-after-body",
+    ),
+    pytest.param(
+        "model",
+        'system "x" {\n  loss L-1 "a"\n}\nsystem "y" {\n  loss L-2 "b"\n}\n',
+        [("UnexpectedToken", "expected end of input, found 'system'", 4, 1, 6)],
+        id="second-system-block",
+    ),
+    pytest.param(
+        "model",
+        'system "x" {\n  loss L-1 "a"\n}\n}\n',
+        [("UnexpectedToken", "expected end of input, found '}'", 4, 1, 1)],
+        id="stray-brace-after-body",
+    ),
+    pytest.param(
+        "model",
+        'system "x" {\n  loss L-1 "a"\n}\n\n# end\n  \n',
+        [],
+        id="comments-after-body",
+    ),
     pytest.param(
         "scenarios",
         f"scenarios {{\n  scenario S-1 {{ {SCENARIO_BODY} }}\n  scenario S-1 {{ {SCENARIO_BODY} }}\n}}",
@@ -516,6 +541,18 @@ PARSER_CASES = [
         f"scenarios {{\n  scenario {'S' * 65} {{ {SCENARIO_BODY} }}\n}}",
         [("BadIdentifier", f"identifier {'S' * 16}... exceeds 64 characters", 2, 12, 65)],
         id="scenario-id-over-64-characters",
+    ),
+    pytest.param(
+        "scenarios",
+        f"scenarios {{\n  scenario S-1 {{ {SCENARIO_BODY} }}\n}}\n  scenario S-2 {{ {SCENARIO_BODY} }}\n",
+        [("UnexpectedToken", "expected end of input, found 'scenario'", 4, 3, 8)],
+        id="scenario-after-body",
+    ),
+    pytest.param(
+        "scenarios",
+        f"scenarios {{\n  scenario S-1 {{ {SCENARIO_BODY} }}\n}}\n}}\n",
+        [("UnexpectedToken", "expected end of input, found '}'", 4, 1, 1)],
+        id="stray-brace-after-scenarios",
     ),
 ]
 
@@ -894,6 +931,10 @@ FAST_MODEL_EDITS = [
     pytest.param("leads_to L-1, L-2\n", 'leads_to L-1,\n  loss L-3 "three"\n', id="comma-ends-line"),
     pytest.param('"too long"\n}', '"too long"\n  stray\n}', id="break-before-brace"),
     pytest.param('"too long"\n}\n', '"too long" stray\n}\n  loss L-9 "after"\n\tloss L-8 "tab"\n', id="items-after-brace"),
+    pytest.param('"too long"\n}\n', '"too long"\n}\nloss L-99 "dropped"\n', id="declaration-after-brace"),
+    pytest.param('"too long"\n}\n', '"too long"\n}\nsystem "again" {\n  loss L-9 "x"\n}\n', id="second-system"),
+    pytest.param('"too long"\n}\n', '"too long"\n}\n}\n', id="stray-brace-after-body"),
+    pytest.param('"too long"\n}\n', '"too long"\n}\n\n# end\n', id="comment-after-brace"),
 ]
 
 FAST_SCENARIO_EDITS = [
@@ -930,6 +971,14 @@ FAST_SCENARIO_EDITS = [
         ' description: "after" }\n\t# tab\n',
         id="items-after-brace",
     ),
+    pytest.param(
+        '"long uca" }\n}\n',
+        '"long uca" }\n}\n  scenario S-9 { origin: P type: type_b sub_types: not_executed factors: delay'
+        ' description: "after" }\n',
+        id="scenario-after-brace",
+    ),
+    pytest.param('"long uca" }\n}\n', '"long uca" }\n}\n}\n', id="stray-brace-after-body"),
+    pytest.param('"long uca" }\n}\n', '"long uca" }\n}\n\n# end\n', id="comment-after-brace"),
 ]
 
 
@@ -1088,40 +1137,6 @@ def differential_bases() -> tuple[list[str], list[str]]:
 
 DIFFERENTIAL_MODELS, DIFFERENTIAL_SCENARIOS = differential_bases()
 DIFFERENTIAL_HOSTS = [parse_model(text)[0] for text in DIFFERENTIAL_MODELS]
-
-EDIT_PIECES = [
-    '"', "\\", "\\q", '\\"', "#", "{", "}", ":", ",", "\n", "\r", "\t", " ", "  ", "\x0c", "é", "x", "-",
-    "\n  , X", "\n  {kind: ai}", "\n  via X", "\n  hazards X", "\n  enforced_by X", "\n  # c\n  , X",
-    "\n  # c\n\n  via X", "\n\t# c\n  hazards X", "\n  # c\n  {notes: \"n\"}", "\n  # c\n  enforced_by X",
-    "x" * 65, "CA-" + "x" * 85, "loss L-1 \"dup\"\n", "uca: ", "not_provided", "true", "kind: ", "scenario",
-    "bogus_word",
-]
-
-edits = st.lists(
-    st.tuples(
-        st.integers(0, 999),
-        st.sampled_from(["insert", "end-of-line", "replace", "delete"]),
-        st.sampled_from(EDIT_PIECES),
-    ),
-    min_size=1,
-    max_size=3,
-)
-
-
-def apply_edits(text: str, steps) -> str:
-    for where, how, piece in steps:
-        at = where * len(text) // 1000
-        if how == "end-of-line":
-            at = text.find("\n", at)
-            at = len(text) if at < 0 else at
-        if how in ("insert", "end-of-line"):
-            text = text[:at] + piece + text[at:]
-        elif how == "replace":
-            text = text[:at] + piece + text[at + 1:]
-        else:
-            text = text[:at] + text[at + len(piece):]
-    return text
-
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(base=st.sampled_from(range(len(DIFFERENTIAL_MODELS))), steps=edits)
