@@ -28,7 +28,6 @@ import os
 import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -461,15 +460,13 @@ class Ledger:
         return len(self.records)
 
     def __getitem__(self, record_id: str) -> VulnerabilityRecord:
-        return self.records[self._positions[record_id]]
+        for record in self.records:
+            if record.id == record_id:
+                return record
+        raise KeyError(record_id)
 
     def __contains__(self, record_id: str) -> bool:
-        return record_id in self._positions
-
-    @cached_property
-    def _positions(self) -> dict[str, int]:
-        """Where each id first appears in ``records``, built once per ledger value."""
-        return {record.id: position for position, record in reversed(tuple(enumerate(self.records)))}
+        return any(record.id == record_id for record in self.records)
 
 
 def ledger_register(ledger: Ledger, record: VulnerabilityRecord) -> Ledger:
@@ -484,14 +481,16 @@ def ledger_register(ledger: Ledger, record: VulnerabilityRecord) -> Ledger:
 
 def _admit(ledger: Ledger, records: Iterable[VulnerabilityRecord]) -> Ledger:
     """``ledger`` with ``records`` appended, each checked as :func:`ledger_register` documents."""
-    admitted: dict[str, VulnerabilityRecord] = {}
+    taken = {existing.id for existing in ledger.records}
+    admitted: list[VulnerabilityRecord] = []
     for record in records:
-        if record.id in ledger or record.id in admitted:
+        if record.id in taken:
             raise DuplicateId(f"ledger already holds record {record.id!r}")
         if record.component not in ledger.components:
             raise UnknownComponent(f"record {record.id} names unknown component {record.component!r}")
-        admitted[record.id] = record
-    return replace(ledger, records=ledger.records + tuple(admitted.values()))
+        taken.add(record.id)
+        admitted.append(record)
+    return replace(ledger, records=ledger.records + tuple(admitted))
 
 
 def ledger_resolve(ledger: Ledger, record_id: str, closed_at: datetime) -> Ledger:
@@ -501,14 +500,15 @@ def ledger_resolve(ledger: Ledger, record_id: str, closed_at: datetime) -> Ledge
     if the record is already closed or ``closed_at`` precedes the
     record's opening.
     """
-    index = ledger._positions.get(record_id)
-    if index is None:
-        raise UnknownRecord(f"no ledger record {record_id!r}")
-    record = ledger.records[index]
-    if record.closed_at is not None:
-        raise ValueError(f"record {record_id!r} is already closed")
-    closed = replace(record, closed_at=closed_at)
-    return replace(ledger, records=ledger.records[:index] + (closed,) + ledger.records[index + 1 :])
+    for index, record in enumerate(ledger.records):
+        if record.id != record_id:
+            continue
+        if record.closed_at is not None:
+            raise ValueError(f"record {record_id!r} is already closed")
+        closed = replace(record, closed_at=closed_at)
+        records = ledger.records[:index] + (closed,) + ledger.records[index + 1 :]
+        return replace(ledger, records=records)
+    raise UnknownRecord(f"no ledger record {record_id!r}")
 
 
 def ledger_exposure(ledger: Ledger, as_of: datetime) -> dict:

@@ -231,7 +231,9 @@ def cmd_ledger(args: argparse.Namespace) -> int:
             return _fail(str(exc), EXIT_INVALID)
 
         if args.ledger_cmd == "exposure":
-            summary = analysis.ledger_exposure(ledger, args.as_of or datetime.now(timezone.utc))
+            summary = analysis.ledger_exposure(
+                ledger, args.as_of or datetime.now(timezone.utc)
+            )
             sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
             return EXIT_OK
 
@@ -247,7 +249,9 @@ def cmd_ledger(args: argparse.Namespace) -> int:
                 )
                 ledger = analysis.ledger_register(ledger, record)
             else:
-                ledger = analysis.ledger_resolve(ledger, args.id, args.closed_at or datetime.now(timezone.utc))
+                ledger = analysis.ledger_resolve(
+                    ledger, args.id, args.closed_at or datetime.now(timezone.utc)
+                )
         except (analysis.AnalysisError, ValueError) as exc:
             return _fail(str(exc), EXIT_INVALID)
         analysis.ledger_save(ledger, args.ledger)

@@ -769,7 +769,7 @@ class _ScenarioParser(_Parser):
             return
         fields: dict[str, object] = {}
         broken = False
-        while self.peek().kind not in (RBRACE, EOF):
+        while self.peek().kind not in (RBRACE, EOF) and not self.at(IDENT, "scenario"):  # a block without '}' ends there
             field_tok = self.expect(IDENT, "a scenario field name")
             if field_tok is None or self.expect(COLON, "':'") is None:
                 broken = True
@@ -796,6 +796,8 @@ class _ScenarioParser(_Parser):
                 broken = True
                 break
             fields[self._FIELDS[name]] = value
+        if broken:  # the field's error is reported: skip the rest of the block, not the file's '}'
+            self.sync_to()
         self.expect(RBRACE, "'}'")
         if not broken:
             self.add_scenario(id_tok, fields)

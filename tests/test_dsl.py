@@ -489,6 +489,20 @@ PARSER_CASES = [
         [("UnknownKeyword", "expected 'scenario', found 'x'", 2, 3, 3)],
         id="stray-string-before-a-scenario",
     ),
+    # a broken field skips the rest of its own block, so the next scenario parses
+    pytest.param(
+        "scenarios",
+        f"scenarios {{\n  scenario S-1 {{ {SCENARIO_BODY.replace('origin', 'orign')} }}\n"
+        f"  scenario S-2 {{ {SCENARIO_BODY} }}\n}}",
+        [("UnknownKeyword", "unknown scenario field 'orign'", 2, 18, 5)],
+        id="misspelt-field-before-a-scenario",
+    ),
+    pytest.param(
+        "scenarios",
+        f"scenarios {{\n  scenario S-1 {{ {SCENARIO_BODY}\n  scenario S-2 {{ {SCENARIO_BODY} }}\n}}",
+        [("UnexpectedToken", "expected '}', found 'scenario'", 3, 3, 8)],
+        id="block-without-brace-before-a-scenario",
+    ),
     pytest.param(
         "scenarios",
         "scenarios {\n  scenario S-1 { origin: P type: type_b sub_types: not_executed factors: delay }\n}",
@@ -806,6 +820,21 @@ def test_scenario_unknown_factor_token(host_model):
     assert "UnknownEnumToken" in codes(diags)
 
 
+@pytest.mark.parametrize(
+    "old, new, code",
+    [
+        pytest.param("origin: C", "orign: C", "UnknownKeyword", id="misspelt-field"),
+        pytest.param("origin: C", 'origin: "C"', "UnexpectedToken", id="string-for-identifier"),
+        pytest.param("origin: C", "origin C", "UnexpectedToken", id="missing-colon"),
+        pytest.param("agency, deception", "agency, gremlins", "UnknownEnumToken", id="unknown-word-in-list"),
+    ],
+)
+def test_a_broken_field_costs_only_its_own_scenario(host_model, old, new, code):
+    scenarios, diags = parse_scenarios(GOOD_SCENARIOS.replace(old, new), host_model)
+    assert [s.id for s in scenarios] == ["S-2"]
+    assert codes(diags) == [code]
+
+
 # --- fast prefix against the token path ---------------------------------------
 #
 # parse_model and parse_scenarios take well-formed lines and scenario blocks
@@ -978,6 +1007,9 @@ FAST_SCENARIO_EDITS = [
         id="scenario-after-brace",
     ),
     pytest.param('"long uca" }\n}\n', '"long uca" }\n}\n}\n', id="stray-brace-after-body"),
+    pytest.param("    origin: C\n", "    orign: C\n", id="misspelt-field"),
+    pytest.param("origin: P type", 'origin: "P" type', id="string-origin"),
+    pytest.param(S2_LINE, "\n  scenario S-2", id="block-without-brace"),
     pytest.param('"long uca" }\n}\n', '"long uca" }\n}\n\n# end\n', id="comment-after-brace"),
 ]
 

@@ -204,19 +204,6 @@ def ledger_register_run(n):
     return lambda: ledger_register(ledger, new)
 
 
-def ledger_lookup_run(n):
-    """n lookups and n membership tests by id on a fresh copy of an n-record
-    ledger, so the copy's id index is built inside the count."""
-    ledger, ids = ledger_of(n), [f"V-{i}" for i in range(n)]
-
-    def run():
-        copy = dataclasses.replace(ledger)
-        for record_id in ids:
-            assert copy[record_id].id == record_id and record_id in copy
-
-    return run
-
-
 # The two file cases use ledger.jsonl in the working directory, which the
 # test points at a fresh temporary folder.
 
@@ -254,7 +241,6 @@ def ledger_save_run(n):
         pytest.param(enumerate_run, id="enumerate_ucas"),
         pytest.param(prompts_run, id="generate_prompts"),
         pytest.param(ledger_register_run, id="ledger_register"),
-        pytest.param(ledger_lookup_run, id="ledger_lookup"),
         pytest.param(ledger_load_run, id="ledger_load"),
         pytest.param(ledger_save_run, id="ledger_save"),
     ],
