@@ -32,7 +32,6 @@ from .model import (
     ScenarioType,
     CausalFactorType,
     SUBTYPES_FOR_TYPE,
-    Vocabulary,
 )
 
 __all__ = [
@@ -51,19 +50,22 @@ __all__ = [
 # the bundled file re-checks the count so a bad edit fails fast.
 TABLE3_ROW_COUNT = 23
 
-_HEADER = (
-    "id",
-    "lifecycle",
-    "hazard",
-    "control_action",
-    "scenario_type",
-    "sub_types",
-    "causal_factors",
-    "detail",
-    "ai_characteristics",
-    "ai_characteristics_text",
-    "origin_component",
-    "source",
+# The data file's columns, in order: header name, CatalogEntry field,
+# vocabulary (None for free text) and whether the cell holds a
+# "|"-separated set.
+_COLUMNS = (
+    ("id", "id", None, False),
+    ("lifecycle", "lifecycle", LifecyclePhase, True),
+    ("hazard", "hazard_pattern", None, False),
+    ("control_action", "control_action_pattern", None, False),
+    ("scenario_type", "scenario_type", ScenarioType, False),
+    ("sub_types", "sub_types", ScenarioSubType, True),
+    ("causal_factors", "causal_factors", CausalFactorType, True),
+    ("detail", "detail", None, False),
+    ("ai_characteristics", "ai_characteristics", AiCharacteristic, True),
+    ("ai_characteristics_text", "ai_characteristics_text", None, False),
+    ("origin_component", "origin_component", ComponentKind, False),
+    ("source", "source", None, False),
 )
 
 _SOURCES = ("table3", "table4")
@@ -147,27 +149,8 @@ class Prompt:
     question: str
 
 
-def _split_multi(cell: str) -> list[str]:
-    return [part for part in cell.split("|") if part]
-
-
-def _parse_enum(cls: type[Vocabulary], token: str, column: str, row: int) -> Vocabulary:
-    try:
-        return cls(token)
-    except ValueError:
-        raise CatalogFormatError(f"unknown {column} token {token!r}", row) from None
-
-
-def _parse_enum_set(cls: type[Vocabulary], cell: str, column: str, row: int) -> frozenset:
-    values = [_parse_enum(cls, token, column, row) for token in _split_multi(cell)]
-    if not values:
-        raise CatalogFormatError(f"empty {column} column", row)
-    return frozenset(values)
-
-
 def _parse_row(cols: list[str], row: int) -> CatalogEntry:
-    fields = dict(zip(_HEADER, cols))
-    for name, cell in fields.items():
+    for (name, *_), cell in zip(_COLUMNS, cols):
         if not cell:
             raise CatalogFormatError(f"empty {name} column", row)
         if cell != cell.strip():
@@ -175,53 +158,45 @@ def _parse_row(cols: list[str], row: int) -> CatalogEntry:
                 f"{name} column has leading or trailing whitespace", row
             )
 
-    lifecycle = _parse_enum_set(LifecyclePhase, fields["lifecycle"], "lifecycle", row)
-    scenario_type = _parse_enum(ScenarioType, fields["scenario_type"], "scenario_type", row)
-    sub_types = _parse_enum_set(ScenarioSubType, fields["sub_types"], "sub_types", row)
-    factors = _parse_enum_set(
-        CausalFactorType, fields["causal_factors"], "causal_factors", row
-    )
-    characteristics = _parse_enum_set(
-        AiCharacteristic, fields["ai_characteristics"], "ai_characteristics", row
-    )
-    origin = _parse_enum(ComponentKind, fields["origin_component"], "origin_component", row)
+    fields: dict[str, object] = {}
+    for (name, field, vocabulary, multi), cell in zip(_COLUMNS, cols):
+        if vocabulary is None:
+            fields[field] = cell
+            continue
+        tokens = [part for part in cell.split("|") if part] if multi else [cell]
+        values = []
+        for token in tokens:
+            try:
+                values.append(vocabulary(token))
+            except ValueError:
+                raise CatalogFormatError(f"unknown {name} token {token!r}", row) from None
+        if not values:
+            raise CatalogFormatError(f"empty {name} column", row)
+        fields[field] = frozenset(values) if multi else values[0]
+    entry = CatalogEntry(**fields)
 
-    illegal = sub_types - set(SUBTYPES_FOR_TYPE[scenario_type])
+    illegal = entry.sub_types - set(SUBTYPES_FOR_TYPE[entry.scenario_type])
     if illegal:
         names = ", ".join(sorted(sub.token for sub in illegal))
         raise CatalogFormatError(
             f"sub_types [{names}] not legal for scenario_type"
-            f" {scenario_type.token!r}",
+            f" {entry.scenario_type.token!r}",
             row,
         )
-    if fields["source"] not in _SOURCES:
-        raise CatalogFormatError(f"unknown source {fields['source']!r}", row)
-    if fields["source"] == "table3":
-        if LifecyclePhase.OPERATIONS not in lifecycle:
+    if entry.source not in _SOURCES:
+        raise CatalogFormatError(f"unknown source {entry.source!r}", row)
+    if entry.source == "table3":
+        if LifecyclePhase.OPERATIONS not in entry.lifecycle:
             raise CatalogFormatError(
                 "table3 entry must include the operations lifecycle", row
             )
-        extra = lifecycle - {LifecyclePhase.OPERATIONS, LifecyclePhase.DEPLOYMENT}
+        extra = entry.lifecycle - {LifecyclePhase.OPERATIONS, LifecyclePhase.DEPLOYMENT}
         if extra:
             names = ", ".join(sorted(phase.token for phase in extra))
             raise CatalogFormatError(
                 f"table3 entry has unexpected lifecycle phases [{names}]", row
             )
-
-    return CatalogEntry(
-        id=fields["id"],
-        lifecycle=lifecycle,
-        hazard_pattern=fields["hazard"],
-        control_action_pattern=fields["control_action"],
-        scenario_type=scenario_type,
-        sub_types=sub_types,
-        causal_factors=factors,
-        detail=fields["detail"],
-        ai_characteristics=characteristics,
-        ai_characteristics_text=fields["ai_characteristics_text"],
-        origin_component=origin,
-        source=fields["source"],
-    )
+    return entry
 
 
 def load_catalog(path: str | Path | None = None) -> Catalog:
@@ -259,7 +234,7 @@ def _parse_catalog(text: str) -> Catalog:
         lines.pop()
     if not lines:
         raise CatalogFormatError("catalog file is empty")
-    if tuple(lines[0].split("\t")) != _HEADER:
+    if tuple(lines[0].split("\t")) != tuple(name for name, *_ in _COLUMNS):
         raise CatalogFormatError(
             "header does not match the expected column layout", row=1
         )
@@ -270,9 +245,9 @@ def _parse_catalog(text: str) -> Catalog:
         if not line:
             raise CatalogFormatError("blank line inside catalog", row=offset)
         cols = line.split("\t")
-        if len(cols) != len(_HEADER):
+        if len(cols) != len(_COLUMNS):
             raise CatalogFormatError(
-                f"expected {len(_HEADER)} columns, found {len(cols)}", row=offset
+                f"expected {len(_COLUMNS)} columns, found {len(cols)}", row=offset
             )
         entry = _parse_row(cols, offset)
         if entry.id in seen:

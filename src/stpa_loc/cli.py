@@ -311,30 +311,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ledger = sub.add_parser("ledger", help="track control-structure degradation")
     ledger_sub = p_ledger.add_subparsers(dest="ledger_cmd", required=True)
+    ledger_args = argparse.ArgumentParser(add_help=False)  # what every ledger command takes first
+    ledger_args.add_argument("ledger")
+    ledger_args.add_argument("--model", required=True)
+    ledger_args.set_defaults(func=cmd_ledger)
 
-    p_add = ledger_sub.add_parser("add", help="register a vulnerability record")
-    p_add.add_argument("ledger")
-    p_add.add_argument("--model", required=True)
+    p_add = ledger_sub.add_parser("add", parents=[ledger_args], help="register a vulnerability record")
     p_add.add_argument("--id", required=True, type=_utf8)
     p_add.add_argument("--description", required=True, type=_utf8)
     p_add.add_argument("--component", required=True, type=_utf8)
     p_add.add_argument("--severity", required=True, choices=RecordSeverity.tokens())
     p_add.add_argument("--source", required=True, choices=LedgerSource.tokens())
     p_add.add_argument("--opened-at", type=_timestamp, default=None)
-    p_add.set_defaults(func=cmd_ledger)
 
-    p_resolve = ledger_sub.add_parser("resolve", help="close an open record")
-    p_resolve.add_argument("ledger")
-    p_resolve.add_argument("--model", required=True)
+    p_resolve = ledger_sub.add_parser("resolve", parents=[ledger_args], help="close an open record")
     p_resolve.add_argument("--id", required=True, type=_utf8)
     p_resolve.add_argument("--closed-at", type=_timestamp, default=None)
-    p_resolve.set_defaults(func=cmd_ledger)
 
-    p_exposure = ledger_sub.add_parser("exposure", help="summarize open records")
-    p_exposure.add_argument("ledger")
-    p_exposure.add_argument("--model", required=True)
+    p_exposure = ledger_sub.add_parser("exposure", parents=[ledger_args], help="summarize open records")
     p_exposure.add_argument("--as-of", type=_timestamp, default=None)
-    p_exposure.set_defaults(func=cmd_ledger)
 
     return parser
 

@@ -797,10 +797,23 @@ class _ScenarioParser(_Parser):
                 break
             fields[self._FIELDS[name]] = value
         if broken:  # the field's error is reported: skip the rest of the block, not the file's '}'
-            self.sync_to()
+            self.skip_block()
         self.expect(RBRACE, "'}'")
         if not broken:
             self.add_scenario(id_tok, fields)
+
+    def skip_block(self) -> None:
+        """Skip to the block's '}', to a ``scenario <id> {`` that starts the next
+        block, or to the end of the stretch; a bare ``scenario`` may be prose."""
+        tokens = self.tokens
+        while self.pos < len(tokens):
+            tok = tokens[self.pos]
+            if tok.kind in (RBRACE, EOF):
+                return
+            ahead = [t.kind for t in tokens[self.pos:self.pos + 3]]
+            if ahead == [IDENT, IDENT, LBRACE] and tok.text == "scenario":
+                return
+            self.pos += 1
 
     def add_scenario(self, id_tok: Token, fields: dict[str, object]) -> None:
         if id_tok.text in self.seen_ids:

@@ -80,20 +80,18 @@ _COLUMNS = {
     "loss": ("Loss", "loss"),
 }
 
-# Column order per direction. Cause-to-effect mirrors the walk:
-# characteristics first, hazard last. The loss column, shown only when
-# every row carries one, sits next to the hazard it flows from in
-# effect-to-cause, as in the worked-example table, and last in
+# Column order per direction. Cause-to-effect mirrors the walk: the
+# lifecycle, then the effect-to-cause columns in reverse. The loss column,
+# shown only when every row carries one, sits next to the hazard it flows
+# from in effect-to-cause, as in the worked-example table, and so last in
 # cause-to-effect.
+_EFFECT_TO_CAUSE = (
+    "lifecycle", "loss", "hazard", "control_action", "scenario_type", "sub_type",
+    "causal_factors", "detail", "ai_characteristics",
+)
 _ORDER = {
-    TableDirection.EFFECT_TO_CAUSE: (
-        "lifecycle", "loss", "hazard", "control_action", "scenario_type", "sub_type",
-        "causal_factors", "detail", "ai_characteristics",
-    ),
-    TableDirection.CAUSE_TO_EFFECT: (
-        "lifecycle", "ai_characteristics", "detail", "causal_factors", "sub_type",
-        "scenario_type", "control_action", "hazard", "loss",
-    ),
+    TableDirection.EFFECT_TO_CAUSE: _EFFECT_TO_CAUSE,
+    TableDirection.CAUSE_TO_EFFECT: _EFFECT_TO_CAUSE[:1] + _EFFECT_TO_CAUSE[:0:-1],
 }
 
 

@@ -824,6 +824,12 @@ def test_ledger_load_reports_first_offending_line(host, tmp_path):
         pytest.param(b'{"id": "V-9"}', "'description'", id="missing-field"),
         pytest.param(b"[" * 2000 + b"]" * 2000, "JSON nested too deeply", id="nested-too-deeply"),
         pytest.param(b'{"id": "\xff"}', "'utf-8' codec can't decode byte 0xff in position ", id="not-utf8"),
+        pytest.param(
+            b'{"id": "V-9", "description": "d", "component": "P", "severity": "low",'
+            b' "opened_at": "0001-01-01T00:00:00+01:00", "closed_at": null, "source": "audit"}',
+            "opened_at is out of range in UTC: 0001-01-01T00:00:00+01:00",
+            id="no-utc-form",
+        ),
     ],
 )
 def test_ledger_load_reports_the_malformed_line(host, tmp_path, bad, message):

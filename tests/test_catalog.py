@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from stpa_loc import catalog as catalog_module
 from stpa_loc.catalog import (
     AGENTIC_CHARACTERISTICS,
     CatalogFormatError,
@@ -102,6 +103,16 @@ def test_scenario_type_split(bundled_catalog):
     counts = Counter(entry.scenario_type for entry in bundled_catalog)
     assert counts[ScenarioType.TYPE_A_UNSAFE_CONTROL_ACTION] == 22
     assert counts[ScenarioType.TYPE_B_IMPROPER_EXECUTION] == 14
+
+
+def test_bundled_catalog_checks_its_generic_count(monkeypatch):
+    monkeypatch.setattr(catalog_module, "TABLE3_ROW_COUNT", TABLE3_ROW_COUNT + 1)
+    with pytest.raises(CatalogFormatError) as raised:
+        catalog_module._bundled_catalog.__wrapped__()
+    assert raised.value.row is None
+    assert str(raised.value) == (
+        f"bundled catalog must hold {TABLE3_ROW_COUNT + 1} generic entries, found {TABLE3_ROW_COUNT}"
+    )
 
 
 # --- loading replacement files ----------------------------------------------
@@ -281,6 +292,13 @@ def test_filter_by_lifecycle(bundled_catalog):
         e.id for e in filter_entries(bundled_catalog, lifecycle=LifecyclePhase.DEPLOYMENT)
     ]
     assert ids == ["A3-16", "A3-17", "A3-18", "A3-19", "A3-20"]
+
+
+def test_filter_by_scenario_type(bundled_catalog):
+    type_b = ScenarioType.TYPE_B_IMPROPER_EXECUTION
+    ids = [e.id for e in filter_entries(bundled_catalog, scenario_type=type_b)]
+    assert ids == sorted(e.id for e in bundled_catalog if e.scenario_type is type_b)
+    assert len(ids) == 14
 
 
 def test_filter_can_exclude_everything(bundled_catalog):

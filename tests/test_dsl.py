@@ -497,6 +497,18 @@ PARSER_CASES = [
         [("UnknownKeyword", "unknown scenario field 'orign'", 2, 18, 5)],
         id="misspelt-field-before-a-scenario",
     ),
+    # prose that lost its opening quote may hold the word scenario: only "scenario <id> {" starts a block
+    pytest.param(
+        "scenarios",
+        "scenarios {\n  scenario S-1 { origin: P type: type_b sub_types: not_executed factors: delay\n"
+        '    description: the scenario stops"\n  }\n'
+        f"  scenario S-2 {{ {SCENARIO_BODY} }}\n}}",
+        [
+            ("UnterminatedString", "string not closed before end of line", 3, 36, 1),
+            ("UnexpectedToken", "expected the description string, found 'the'", 3, 18, 3),
+        ],
+        id="unquoted-prose-holding-scenario",
+    ),
     pytest.param(
         "scenarios",
         f"scenarios {{\n  scenario S-1 {{ {SCENARIO_BODY}\n  scenario S-2 {{ {SCENARIO_BODY} }}\n}}",
@@ -1008,6 +1020,7 @@ FAST_SCENARIO_EDITS = [
     ),
     pytest.param('"long uca" }\n}\n', '"long uca" }\n}\n}\n', id="stray-brace-after-body"),
     pytest.param("    origin: C\n", "    orign: C\n", id="misspelt-field"),
+    pytest.param('description: "controller', "description: the scenario controller", id="unquoted-prose-holding-scenario"),
     pytest.param("origin: P type", 'origin: "P" type', id="string-origin"),
     pytest.param(S2_LINE, "\n  scenario S-2", id="block-without-brace"),
     pytest.param('"long uca" }\n}\n', '"long uca" }\n}\n\n# end\n', id="comment-after-brace"),
