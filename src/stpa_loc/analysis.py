@@ -411,6 +411,14 @@ def _require_utc(name: str, value: datetime) -> datetime:
         raise ValueError(f"{name} is out of range in UTC: {value.isoformat()}") from None
 
 
+def _record_times(opened_at: datetime, closed_at: datetime | None) -> tuple[datetime, datetime | None]:
+    opened_at = _require_utc("opened_at", opened_at)
+    closed_at = None if closed_at is None else _require_utc("closed_at", closed_at)
+    if closed_at is not None and closed_at < opened_at:
+        raise ValueError("closed_at must not precede opened_at")
+    return opened_at, closed_at
+
+
 @dataclass(frozen=True)
 class VulnerabilityRecord:
     """One known weakness in the deployed control structure."""
@@ -424,12 +432,9 @@ class VulnerabilityRecord:
     closed_at: datetime | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "opened_at", _require_utc("opened_at", self.opened_at))
-        if self.closed_at is not None:
-            closed = _require_utc("closed_at", self.closed_at)
-            if closed < self.opened_at:
-                raise ValueError("closed_at must not precede opened_at")
-            object.__setattr__(self, "closed_at", closed)
+        opened_at, closed_at = _record_times(self.opened_at, self.closed_at)
+        object.__setattr__(self, "opened_at", opened_at)
+        object.__setattr__(self, "closed_at", closed_at)
 
     def is_open(self, as_of: datetime) -> bool:
         as_of = _require_utc("as_of", as_of)
@@ -534,7 +539,8 @@ def ledger_exposure(ledger: Ledger, as_of: datetime) -> dict:
 # One ledger line is what ``json.dumps`` with ``ensure_ascii=False`` gives
 # for the record's fields in this order. Only the three free-text fields
 # can need escaping; tokens and ISO timestamps are written as they are.
-_encode_text = json.JSONEncoder(ensure_ascii=False).encode
+_encode_text = json.encoder.encode_basestring  # what JSONEncoder(ensure_ascii=False).encode calls for a str
+_scan_once = json.JSONDecoder().scan_once  # what json.loads runs on a line with no blanks around its value
 _SEVERITIES = {member.token: member for member in RecordSeverity}
 _SOURCES = {member.token: member for member in LedgerSource}
 _TEXT_FIELDS = ("id", "description", "component", "severity", "opened_at", "source")
@@ -553,9 +559,10 @@ def _record_line(record: VulnerabilityRecord) -> str:
 
 
 def _record_from_json(payload: object) -> VulnerabilityRecord:
-    """Build a record from one decoded ledger line.
+    """Build a record from one decoded ledger line, checked in ``VulnerabilityRecord(...)``'s order.
 
-    Raises ``KeyError`` for a missing field and ``ValueError`` for a line
+    The record is then built once, one ``object.__setattr__`` per field in declaration order, so its
+    dict keeps shared keys. Raises ``KeyError`` for a missing field and ``ValueError`` for a line
     that is not a JSON object or a field of the wrong type or value.
     """
     if not isinstance(payload, dict):
@@ -568,16 +575,21 @@ def _record_from_json(payload: object) -> VulnerabilityRecord:
         if not value.isascii() and _SURROGATE.search(value):
             raise ValueError(f"ledger field {name!r} holds a lone surrogate: {value!r}")
     severity, source = payload["severity"], payload["source"]
-    return VulnerabilityRecord(
-        id=payload["id"],
-        description=payload["description"],
-        component=payload["component"],
-        # an unknown token falls through to the enum, which names it
-        severity=_SEVERITIES.get(severity) or RecordSeverity(severity),
-        opened_at=datetime.fromisoformat(payload["opened_at"]),
-        closed_at=None if closed_at is None else datetime.fromisoformat(closed_at),
-        source=_SOURCES.get(source) or LedgerSource(source),
-    )
+    # an unknown token falls through to the enum, which names it
+    severity = _SEVERITIES.get(severity) or RecordSeverity(severity)
+    opened_at = datetime.fromisoformat(payload["opened_at"])
+    closed_at = None if closed_at is None else datetime.fromisoformat(closed_at)
+    source = _SOURCES.get(source) or LedgerSource(source)
+    opened_at, closed_at = _record_times(opened_at, closed_at)
+    record = object.__new__(VulnerabilityRecord)
+    object.__setattr__(record, "id", payload["id"])
+    object.__setattr__(record, "description", payload["description"])
+    object.__setattr__(record, "component", payload["component"])
+    object.__setattr__(record, "severity", severity)
+    object.__setattr__(record, "opened_at", opened_at)
+    object.__setattr__(record, "source", source)
+    object.__setattr__(record, "closed_at", closed_at)
+    return record
 
 
 def ledger_save(ledger: Ledger, path: str | Path) -> None:
@@ -618,7 +630,9 @@ def ledger_load(path: str | Path, model: ControlStructureModel) -> Ledger:
 
 
 def _read_records(path: str | Path) -> Iterator[VulnerabilityRecord]:
-    """The ledger file's records in file order, one line decoded per step."""
+    """The ledger file's records in file order, each line decoded alone by the C scanner that
+    ``json.loads`` runs or, on a miss (no value that ends the line: blanks, trailing data, a BOM),
+    by ``json.loads`` itself, for the same value or message."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -629,7 +643,11 @@ def _read_records(path: str | Path) -> Iterator[VulnerabilityRecord]:
         if not line.strip():
             continue
         try:
-            record = _record_from_json(json.loads(line))
+            try:
+                payload, end = _scan_once(line, 0)
+            except StopIteration:
+                end = -1
+            record = _record_from_json(payload if end == len(line) else json.loads(line))
         except RecursionError:
             raise LedgerFormatError("JSON nested too deeply", number) from None
         except (ValueError, KeyError) as exc:

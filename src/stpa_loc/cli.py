@@ -5,8 +5,8 @@ Exit codes are part of the interface and stay stable:
       0  success
       1  validation or analysis errors in the inputs
       2  usage error (bad flags or arguments)
-      3  I/O or data-format error (unreadable file, bad catalog, a closed
-         standard output or a failed write to it, for example a full disk)
+      3  I/O or data-format error (unreadable file, one too large to hold, bad
+         catalog, a closed standard output or a failed write to it, e.g. a full disk)
     141  the consumer of standard output closed the pipe early (128 + SIGPIPE)
 
 Machine-readable output goes to standard output; diagnostics and error
@@ -351,6 +351,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         _print_stderr()  # argparse drops a failed write to stderr, but not its bytes
         return code
+    except MemoryError:  # an input too large to hold: exit 3 like an unreadable file, not a traceback
+        return _fail("out of memory", EXIT_IO)
     except OSError as exc:
         try:
             sys.stdout.flush()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
+from conftest import MODEL_PATH, SCENARIOS_PATH
 from stpa_loc.model import (
     AgentNature,
     Component,
@@ -221,3 +222,23 @@ def mutate(data: bytes, steps) -> bytes:
         else:
             data = data[:at] + data[at + len(piece):]
     return data
+
+
+# Commands that read the bundled files and write nothing, for the determinism
+# tests: repeated runs, hash seeds and declaration order.
+
+READ_ONLY_COMMANDS = [
+    ["validate", str(MODEL_PATH)],
+    ["ucas", str(MODEL_PATH)],
+    ["ucas", str(MODEL_PATH), "--confirmed-only"],
+    ["prompts", str(MODEL_PATH)],
+    ["prompts", str(MODEL_PATH), "--component", "ChatMonitor"],
+    ["prompts", str(MODEL_PATH), "--characteristic", "deception"],
+    ["prompts", str(MODEL_PATH), "--characteristic", "agency"],
+    ["report", str(MODEL_PATH), str(SCENARIOS_PATH)],
+    ["report", str(MODEL_PATH), str(SCENARIOS_PATH), "--direction", "cause-to-effect"],
+    ["report", str(MODEL_PATH), str(SCENARIOS_PATH), "--format", "md"],
+    ["report", str(MODEL_PATH), str(SCENARIOS_PATH), "--format", "json"],
+    ["report", str(MODEL_PATH), str(SCENARIOS_PATH), "--format", "json", "--include-loss"],
+    ["report", str(MODEL_PATH), str(SCENARIOS_PATH), "--include-loss"],
+]

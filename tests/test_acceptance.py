@@ -16,6 +16,7 @@ from datetime import datetime, timezone
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import GOLDEN_DIR, MODEL_PATH, SCENARIOS_PATH, run_cli
 from stpa_loc.analysis import (
@@ -44,7 +45,7 @@ from stpa_loc.model import (
 )
 from stpa_loc.report import TableDirection, build_table, render_csv
 
-from strategies import models
+from strategies import READ_ONLY_COMMANDS, models
 
 
 def norm(text: str) -> str:
@@ -269,24 +270,27 @@ def test_serialized_models_parse_back_identically(model):
     assert model_fingerprint(reparsed) == model_fingerprint(model)
 
 
-READ_ONLY_COMMANDS = [
-    ["validate", str(MODEL_PATH)],
-    ["ucas", str(MODEL_PATH)],
-    ["ucas", str(MODEL_PATH), "--confirmed-only"],
-    ["prompts", str(MODEL_PATH)],
-    ["prompts", str(MODEL_PATH), "--component", "ChatMonitor"],
-    ["prompts", str(MODEL_PATH), "--characteristic", "deception"],
-    ["report", str(MODEL_PATH), str(SCENARIOS_PATH)],
-    ["report", str(MODEL_PATH), str(SCENARIOS_PATH), "--direction", "cause-to-effect"],
-    ["report", str(MODEL_PATH), str(SCENARIOS_PATH), "--format", "md"],
-    ["report", str(MODEL_PATH), str(SCENARIOS_PATH), "--format", "json"],
-    ["report", str(MODEL_PATH), str(SCENARIOS_PATH), "--include-loss"],
-]
-
-
 @pytest.mark.parametrize("argv", READ_ONLY_COMMANDS, ids=lambda a: " ".join(a[:1] + a[3:]))
 def test_repeated_runs_are_byte_identical(argv):
     assert run_cli(argv) == run_cli(argv)
+
+
+BUNDLED_MODEL = MODEL_PATH.read_text(encoding="utf-8")
+DECLARATIONS = [line for line in BUNDLED_MODEL.split("\n") if line.startswith("  ") and not line.lstrip().startswith("#")]
+
+
+@pytest.fixture(scope="module")
+def bundled_outputs():
+    return [run_cli(argv) for argv in READ_ONLY_COMMANDS]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(order=st.permutations(DECLARATIONS))
+def test_declaration_order_does_not_change_the_output(tmp_path, bundled_outputs, order):
+    shuffled = tmp_path / "shuffled.stpa"
+    shuffled.write_text(BUNDLED_MODEL[: BUNDLED_MODEL.index("{\n") + 2] + "\n".join(order) + "\n}\n", encoding="utf-8")
+    runs = [run_cli([str(shuffled) if arg == str(MODEL_PATH) else arg for arg in argv]) for argv in READ_ONLY_COMMANDS]
+    assert runs == bundled_outputs
 
 
 def run_ledger_script(tmp_path, name):

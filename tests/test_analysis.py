@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+from pathlib import Path
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -893,6 +895,108 @@ def test_ledger_load_raises_only_ledger_errors(host, tmp_path, lines):
     except (LedgerFormatError, AnalysisError):
         return
     assert len(loaded) <= len(lines)
+
+
+def seed_ledger_load(path, model):
+    """The loader before the C scan: json.loads per line, then VulnerabilityRecord(...), then ledger_register."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise LedgerFormatError(str(exc), Path(path).read_bytes().count(b"\n", 0, exc.start) + 1) from exc
+    ledger = Ledger.for_model(model)
+    for number, line in enumerate(text.split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            payload = json.loads(line)
+            if not isinstance(payload, dict):
+                raise ValueError(f"ledger line is not a JSON object: {payload!r}")
+            closed_at = payload.get("closed_at")
+            names = ("id", "description", "component", "severity", "opened_at", "source")
+            for name in names if closed_at is None else ("closed_at", *names):
+                value = payload[name]
+                if not isinstance(value, str):
+                    raise ValueError(f"ledger field {name!r} is not a string: {value!r}")
+                if any("\ud800" <= char <= "\udfff" for char in value):
+                    raise ValueError(f"ledger field {name!r} holds a lone surrogate: {value!r}")
+            record = VulnerabilityRecord(
+                id=payload["id"],
+                description=payload["description"],
+                component=payload["component"],
+                severity=RecordSeverity(payload["severity"]),
+                opened_at=datetime.fromisoformat(payload["opened_at"]),
+                closed_at=None if closed_at is None else datetime.fromisoformat(closed_at),
+                source=LedgerSource(payload["source"]),
+            )
+        except RecursionError:
+            raise LedgerFormatError("JSON nested too deeply", number) from None
+        except (ValueError, KeyError) as exc:
+            raise LedgerFormatError(str(exc), number) from exc
+        ledger = ledger_register(ledger, record)
+    return ledger
+
+
+def outcome(load, path, model):
+    """The ledger a load gives, or its exception's type, message and line."""
+    try:
+        return load(path, model)
+    except (LedgerFormatError, AnalysisError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def good_line(**changes):
+    return json.dumps({**GOOD_RECORD, **changes}, ensure_ascii=False).encode()
+
+
+# Lines where the C scan misses, or where one check must come before another.
+SCAN_MISSES = {
+    "leading-blanks": b"  " + good_line(),
+    "trailing-blanks": good_line() + b"  ",
+    "tab-and-cr": b"\t" + good_line() + b"\r",
+    "bom": "\ufeff".encode() + good_line(),
+    "two-objects": good_line() + good_line(id="V-2"),
+    "trailing-data": good_line() + b" x",
+    "nan": b"NaN",
+    "nan-id": good_line(id=float("nan")),
+    "open-brackets": b"[" * 2000,
+    "nested-too-deeply": b"[" * 2000 + b"]" * 2000,
+    "unclosed-object": b'{"id": "V-1"',
+    "escaped-lone-surrogate": json.dumps({**GOOD_RECORD, "description": "a\udcffb"}).encode(),
+    "naive-opened_at": good_line(opened_at="2026-01-01T00:00:00"),
+    "non-utc-opened_at": good_line(opened_at="2026-01-01T00:00:00+05:00"),
+    "non-utc-closed_at": good_line(closed_at="2026-01-01T18:00:00+05:00"),
+    "closed-before-opened": good_line(closed_at="2025-12-31T00:00:00+00:00"),
+    "bad-severity-and-timestamp": good_line(severity="urgent", opened_at="yesterday"),
+    "bad-severity-and-source": good_line(severity="urgent", source="rumour"),
+    "bad-opened_at-and-closed_at": good_line(opened_at="yesterday", closed_at="never"),
+    "unknown-component": good_line(id="V-2", component="Ghost"),
+    "duplicate-id": good_line(id="V-0"),
+}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(ledger_lines | st.sampled_from(list(SCAN_MISSES.values())), max_size=5))
+def test_ledger_load_matches_the_seed_loader(host, tmp_path, lines):
+    path = tmp_path / "ledger.jsonl"
+    path.write_bytes(b"\n".join(lines))
+    assert outcome(ledger_load, path, host) == outcome(seed_ledger_load, path, host)
+
+
+@pytest.mark.parametrize("line", SCAN_MISSES.values(), ids=SCAN_MISSES.keys())
+def test_each_scan_miss_loads_as_the_seed_loader_does(host, tmp_path, line):
+    path = tmp_path / "ledger.jsonl"
+    path.write_bytes(good_line(id="V-0") + b"\n" + line + b"\n")
+    assert outcome(ledger_load, path, host) == outcome(seed_ledger_load, path, host)
+
+
+def test_a_loaded_record_has_the_dict_of_a_constructed_one(host, tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    path.write_bytes(good_line() + b"\n" + good_line(id="V-2", closed_at="2026-02-01T00:00:00+00:00") + b"\n")
+    for loaded in ledger_load(path, host):
+        built = VulnerabilityRecord(**vars(loaded))
+        assert loaded == built
+        assert list(vars(loaded)) == list(vars(built))
+        assert sys.getsizeof(vars(loaded)) == sys.getsizeof(vars(built))
 
 
 @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"], ids=["NEL", "LS", "PS"])

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from conftest import GOLDEN_DIR, MODEL_PATH, SCENARIOS_PATH, run_cli
-from strategies import byte_edits, mutate
+from strategies import READ_ONLY_COMMANDS, byte_edits, mutate
 from stpa_loc import analysis
 from stpa_loc.catalog import load_catalog
 from stpa_loc.cli import main as cli_main
@@ -225,6 +225,22 @@ def test_validate_missing_file_is_io_error(tmp_path):
     assert out == ""
     assert err.startswith("stpa-loc: error:")
 
+
+
+@pytest.mark.parametrize("target", ["model", "ledger"])
+def test_out_of_memory_is_io_error_with_one_line(ledger_env, monkeypatch, target):
+    """A file too large to hold, such as /dev/zero, raises MemoryError while it is read."""
+    ledger, model = ledger_env
+    assert run_cli(add_args(ledger, model))[0] == 0
+    before = Path(ledger).read_bytes()
+
+    def exhausted(path):
+        raise MemoryError
+
+    monkeypatch.setattr({"model": "stpa_loc.cli._read_text", "ledger": "stpa_loc.analysis._read_records"}[target], exhausted)
+    code, out, err = run_cli(add_args(ledger, model, record_id="V-2"))
+    assert (code, out, err) == (3, "", "stpa-loc: error: out of memory\n")
+    assert Path(ledger).read_bytes() == before
 
 
 @pytest.mark.parametrize("target", ["model", "scenarios", "catalog"])
@@ -868,22 +884,24 @@ def test_non_utf8_argv_bytes_are_a_usage_error(ledger_env):
 # --- determinism ----------------------------------------------------------------
 
 
-READ_ONLY_COMMANDS = [
-    ["validate", str(MODEL_PATH)],
-    ["ucas", str(MODEL_PATH)],
-    ["ucas", str(MODEL_PATH), "--confirmed-only"],
-    ["prompts", str(MODEL_PATH)],
-    ["prompts", str(MODEL_PATH), "--characteristic", "agency"],
-    ["report", str(MODEL_PATH), str(SCENARIOS_PATH)],
-    ["report", str(MODEL_PATH), str(SCENARIOS_PATH), "--direction", "cause-to-effect"],
-    ["report", str(MODEL_PATH), str(SCENARIOS_PATH), "--format", "md"],
-    ["report", str(MODEL_PATH), str(SCENARIOS_PATH), "--format", "json", "--include-loss"],
-]
-
-
 @pytest.mark.parametrize("argv", READ_ONLY_COMMANDS, ids=lambda argv: " ".join(argv[:1] + argv[3:]))
 def test_read_only_commands_are_deterministic(argv):
     assert run_cli(argv) == run_cli(argv)
+
+
+RUN_IN_CHILD = "import json, sys; from conftest import run_cli; print(json.dumps([run_cli(a) for a in json.loads(sys.argv[1])]))"
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_read_only_commands_do_not_follow_the_hash_seed(seed):
+    """String hashes, and so set and dict order, change with PYTHONHASHSEED; no output may follow them."""
+    path = os.pathsep.join([str(Path(analysis.__file__).parent.parent), str(Path(__file__).parent)])
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_IN_CHILD, json.dumps(READ_ONLY_COMMANDS)],
+        env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path), capture_output=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert json.loads(done.stdout) == [list(run_cli(argv)) for argv in READ_ONLY_COMMANDS]
 
 
 # --- validation runs once --------------------------------------------------------
