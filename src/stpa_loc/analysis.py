@@ -631,10 +631,10 @@ def ledger_load(path: str | Path, model: ControlStructureModel) -> Ledger:
 
 def _read_records(path: str | Path) -> Iterator[VulnerabilityRecord]:
     """The ledger file's records in file order, each line decoded alone by the C scanner that
-    ``json.loads`` runs or, on a miss (no value that ends the line: blanks, trailing data, a BOM),
-    by ``json.loads`` itself, for the same value or message."""
+    ``json.loads`` runs or, on a miss (no value that ends the line: blanks, trailing data, a
+    BOM past the start), by ``json.loads`` itself, for the same value or message."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise LedgerFormatError(str(exc), Path(path).read_bytes().count(b"\n", 0, exc.start) + 1) from exc
     # Only "\n" ends a line: the other breaks str.splitlines() knows, such as

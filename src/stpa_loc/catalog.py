@@ -209,7 +209,7 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
     if path is None:
         return _bundled_catalog()
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise CatalogFormatError(f"catalog file is not UTF-8 text ({exc.reason})") from None
     return _parse_catalog(text)

@@ -9,9 +9,9 @@ Exit codes are part of the interface and stay stable:
          catalog, a closed standard output or a failed write to it, e.g. a full disk)
     141  the consumer of standard output closed the pipe early (128 + SIGPIPE)
 
-Machine-readable output goes to standard output; diagnostics and error
-messages go to standard error, or nowhere if it is closed or cannot take
-them. Commands write no file except the ledger of ``ledger add`` and
+Machine-readable output goes to standard output, as UTF-8 whatever the
+locale; diagnostics and error messages go to standard error, or nowhere if
+it is closed or cannot take them. Commands write no file except the ledger of ``ledger add`` and
 ``ledger resolve``, their ``.<name>.lock`` beside it and the
 ``.<name>.<pid>.tmp`` file a save renames over it. The STPA_LOC_CATALOG
 environment variable points ``prompts`` at a replacement catalog file.
@@ -74,7 +74,7 @@ def _print_diagnostics(diagnostics: list[Diagnostic], file: str) -> None:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         # undecodable input is an unreadable file: exit 3, not a traceback
         raise OSError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -339,6 +339,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr = io.StringIO()
     if sys.stdout is None:  # descriptor 1 is closed
         return _fail("standard output is closed", EXIT_IO)
+    if isinstance(sys.stdout, io.TextIOWrapper):  # the tables are UTF-8 whatever the locale
+        sys.stdout.reconfigure(encoding="utf-8")
     try:
         try:
             args = build_parser().parse_args(argv)

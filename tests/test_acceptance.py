@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from collections import Counter
 from datetime import datetime, timezone
 
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLDEN_DIR, MODEL_PATH, SCENARIOS_PATH, run_cli
+from conftest import GOLDEN_DIR, MODEL_PATH, run_cli
 from stpa_loc.analysis import (
     Ledger,
     RecordSeverity,
@@ -257,6 +256,10 @@ def test_every_control_action_yields_four_candidates(model):
     for action_id in model.control_actions:
         types = [u.uca_type for u in ucas if u.control_action == action_id]
         assert sorted(t.token for t in types) == sorted(t.token for t in UcaType)
+    ids = [u.id for u in ucas]
+    assert len(set(ids)) == len(ids)
+    keys = [(u.control_action, u.uca_type.rank) for u in ucas]
+    assert keys == sorted(keys)
 
 
 # --- round-trip and determinism --------------------------------------------------
@@ -265,9 +268,11 @@ def test_every_control_action_yields_four_candidates(model):
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(models())
 def test_serialized_models_parse_back_identically(model):
-    reparsed, diags = parse_model(serialize_model(model))
+    text = serialize_model(model)
+    reparsed, diags = parse_model(text)
     assert diags == []
     assert model_fingerprint(reparsed) == model_fingerprint(model)
+    assert serialize_model(reparsed) == text
 
 
 @pytest.mark.parametrize("argv", READ_ONLY_COMMANDS, ids=lambda a: " ".join(a[:1] + a[3:]))

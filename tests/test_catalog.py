@@ -22,17 +22,7 @@ from stpa_loc.model import (
     ScenarioType,
 )
 
-HEADER = (
-    "id\tlifecycle\thazard\tcontrol_action\tscenario_type\tsub_types"
-    "\tcausal_factors\tdetail\tai_characteristics\tai_characteristics_text"
-    "\torigin_component\tsource"
-)
-
-ROW_A = (
-    "X-01\toperations\tsome hazard\tsome action\ttype_a\tnot_provided"
-    "\tinadequate_control_algorithm\tcontroller ignores drift\tagency"
-    "\tAgent acts on its own.\tcontroller\ttable4"
-)
+from conftest import CATALOG_HEADER as HEADER, CATALOG_ROW as ROW_A
 
 ROW_B = (
     "X-02\toperations|deployment\tother hazard\tother action\ttype_b\tnot_executed"

@@ -15,22 +15,11 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from conftest import GOLDEN_DIR, MODEL_PATH, SCENARIOS_PATH, run_cli
+from conftest import CATALOG_HEADER, CATALOG_ROW, DATA_DIR, GOLDEN_DIR, MODEL_PATH, SCENARIOS_PATH, TINY_MODEL, run_cli
 from strategies import READ_ONLY_COMMANDS, byte_edits, mutate
 from stpa_loc import analysis
 from stpa_loc.catalog import load_catalog
 from stpa_loc.cli import main as cli_main
-
-TINY_MODEL = """
-system "host" {
-  controller C
-  process P {contains_ai: true}
-  loss L-1 "a loss"
-  hazard H-1 "a hazard" leads_to L-1
-  control_action CA-1 "act" from C to P
-  annotate CA-1 not_provided context "idle" hazards H-1
-}
-"""
 
 NO_ACTION_MODEL = """
 system "quiet" {
@@ -82,18 +71,6 @@ scenarios "bad refs" {
   }
 }
 """
-
-CUSTOM_CATALOG_HEADER = (
-    "id\tlifecycle\thazard\tcontrol_action\tscenario_type\tsub_types"
-    "\tcausal_factors\tdetail\tai_characteristics\tai_characteristics_text"
-    "\torigin_component\tsource"
-)
-
-CUSTOM_CATALOG_ROW = (
-    "X-01\toperations\tsome hazard\tsome action\ttype_a\tnot_provided"
-    "\tinadequate_control_algorithm\tcontroller ignores drift\tagency"
-    "\tAgent acts on its own.\tcontroller\ttable4"
-)
 
 UCA_HEADER = ["id", "control_action", "uca_type", "context", "hazards", "status"]
 UCA_TYPE_TOKENS = ["not_provided", "provided_causes_hazard", "wrong_time_or_order", "wrong_duration"]
@@ -260,6 +237,47 @@ def test_non_utf8_input_is_io_error(tmp_path, monkeypatch, target):
     assert "not UTF-8 text" in err
     assert "Traceback" not in err
 
+
+BOM = "\ufeff".encode()
+
+
+@pytest.mark.parametrize(
+    "target, code, message",
+    [
+        ("model", 1, "unexpected character '\\ufeff'"),
+        ("scenarios", 1, "unexpected character '\\ufeff'"),
+        ("catalog", 3, "row 1: header does not match"),
+        ("ledger", 3, "line 1: Unexpected UTF-8 BOM"),
+    ],
+    ids=["model", "scenarios", "catalog", "ledger"],
+)
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, monkeypatch, target, code, message):
+    """One BOM in front of a file is skipped; a second one is an error, as a BOM anywhere else is."""
+    files = {"ledger": tmp_path / "ledger.jsonl"}
+    for kind, source in [("model", MODEL_PATH), ("scenarios", SCENARIOS_PATH), ("catalog", DATA_DIR / "catalog.tsv")]:
+        files[kind] = tmp_path / source.name
+        files[kind].write_bytes(source.read_bytes())
+    model, ledger = str(files["model"]), str(files["ledger"])
+    assert run_cli(add_args(ledger, model, component="ChatMonitor"))[0] == 0
+    monkeypatch.setenv("STPA_LOC_CATALOG", str(files["catalog"]))
+    argv = {
+        "model": ["ucas", model],
+        "scenarios": ["report", model, str(files["scenarios"])],
+        "catalog": ["prompts", model],
+        "ledger": ["ledger", "exposure", ledger, "--model", model, "--as-of", CLOSED],
+    }[target]
+    plain = files[target].read_bytes()
+    expected = run_cli(argv)
+    assert expected[0] == 0
+    files[target].write_bytes(BOM + plain)
+    assert run_cli(argv) == expected
+    files[target].write_bytes(BOM + BOM + plain)
+    failed, out, err = run_cli(argv)
+    assert (failed, out) == (code, "")
+    assert message in err
+    assert "Traceback" not in err
+
+
 # --- ucas ---------------------------------------------------------------------
 
 
@@ -379,7 +397,7 @@ def test_prompts_characteristic_filter():
 
 
 def test_prompts_env_override(tmp_path, monkeypatch):
-    catalog_path = write(tmp_path, "cat.tsv", CUSTOM_CATALOG_HEADER + "\n" + CUSTOM_CATALOG_ROW + "\n")
+    catalog_path = write(tmp_path, "cat.tsv", CATALOG_HEADER + "\n" + CATALOG_ROW + "\n")
     model = write(tmp_path, "m.stpa", TINY_MODEL)
     monkeypatch.setenv("STPA_LOC_CATALOG", catalog_path)
     code, out, err = run_cli(["prompts", model])
@@ -884,11 +902,6 @@ def test_non_utf8_argv_bytes_are_a_usage_error(ledger_env):
 # --- determinism ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("argv", READ_ONLY_COMMANDS, ids=lambda argv: " ".join(argv[:1] + argv[3:]))
-def test_read_only_commands_are_deterministic(argv):
-    assert run_cli(argv) == run_cli(argv)
-
-
 RUN_IN_CHILD = "import json, sys; from conftest import run_cli; print(json.dumps([run_cli(a) for a in json.loads(sys.argv[1])]))"
 
 
@@ -902,6 +915,26 @@ def test_read_only_commands_do_not_follow_the_hash_seed(seed):
     )
     assert (done.returncode, done.stderr) == (0, b"")
     assert json.loads(done.stdout) == [list(run_cli(argv)) for argv in READ_ONLY_COMMANDS]
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1", "utf-16"])
+def test_stdout_is_utf8_whatever_its_encoding(tmp_path, encoding):
+    """PYTHONIOENCODING picks the encoding of sys.stdout; the output bytes stay UTF-8, as in-process and golden."""
+    model = write(tmp_path, "m.stpa", TINY_MODEL.replace('"idle"', '"idle — naïve ‘operator’"'))
+    bundled, scenarios = str(MODEL_PATH), str(SCENARIOS_PATH)
+    commands = {
+        ("ucas", model): None,
+        ("prompts", bundled): None,
+        ("report", bundled, scenarios): "effect_to_cause.csv",
+        ("report", bundled, scenarios, "--direction", "cause-to-effect"): "cause_to_effect.csv",
+    }
+    env = dict(os.environ, PYTHONIOENCODING=encoding, PYTHONPATH=str(Path(analysis.__file__).parent.parent))
+    for argv, golden in commands.items():
+        done = subprocess.run([sys.executable, "-m", "stpa_loc.cli", *argv], env=env, capture_output=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == run_cli(list(argv))[1].encode("utf-8")
+        if golden:
+            assert done.stdout == (GOLDEN_DIR / golden).read_bytes()
 
 
 # --- validation runs once --------------------------------------------------------

@@ -40,9 +40,9 @@ from stpa_loc.model import (
     model_fingerprint,
 )
 
-from conftest import MODEL_PATH, SCENARIOS_PATH
-from strategies import apply_edits, edits, models
-from test_complexity import scenario_source, synthetic
+from conftest import MODEL_PATH, SCENARIOS_PATH, TINY_MODEL
+from strategies import apply_edits, edits
+from stages import scenario_source, synthetic
 
 
 def codes(diagnostics) -> list[str]:
@@ -322,7 +322,7 @@ LEXER_ALPHABET = st.one_of(st.characters(), st.sampled_from('"\\#{}:,\n\r\t -_aZ
 @settings(max_examples=200, deadline=None)
 @given(source=st.text(LEXER_ALPHABET))
 def test_parsing_arbitrary_text_never_raises(source):
-    host, _ = parse_model(SCENARIO_HOST)
+    host, _ = parse_model(TINY_MODEL)
     _, model_diags = parse_model(source)
     _, scenario_diags = parse_scenarios(source, host)
     last_line = source.count("\n") + 1
@@ -588,7 +588,7 @@ def test_parser_diagnostics(parser, source, expected):
     if parser == "model":
         _, diags = parse_model(source, "f.stpa")
     else:
-        host, _ = parse_model(SCENARIO_HOST)
+        host, _ = parse_model(TINY_MODEL)
         _, diags = parse_scenarios(source, host, "f.stpa")
     got = [(d.rule_code, d.message, d.span.line, d.span.column, d.span.length) for d in diags]
     assert got == expected
@@ -682,34 +682,12 @@ def test_canonical_text_parses_back_equal():
     assert model_fingerprint(reparsed) == model_fingerprint(model)
 
 
-@settings(max_examples=200, deadline=None)
-@given(model=models())
-def test_round_trip_preserves_fingerprint(model):
-    text = serialize_model(model)
-    reparsed, diags = parse_model(text)
-    assert diags == []
-    assert model_fingerprint(reparsed) == model_fingerprint(model)
-    assert serialize_model(reparsed) == text
-
-
 # --- scenario files ---------------------------------------------------------
-
-
-SCENARIO_HOST = """
-system "host" {
-  controller C
-  process P {contains_ai: true}
-  loss L-1 "a loss"
-  hazard H-1 "a hazard" leads_to L-1
-  control_action CA-1 "act" from C to P
-  annotate CA-1 not_provided context "idle" hazards H-1
-}
-"""
 
 
 @pytest.fixture()
 def host_model():
-    model, diags = parse_model(SCENARIO_HOST)
+    model, diags = parse_model(TINY_MODEL)
     assert diags == []
     return model
 

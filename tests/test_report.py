@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stpa_loc.analysis import DanglingReference, trace_pathway
-from stpa_loc.dsl import parse_model
 from stpa_loc.model import (
     AiCharacteristic,
     CausalFactorType,
@@ -20,7 +19,6 @@ from stpa_loc.model import (
     Component,
     Hazard,
     LifecyclePhase,
-    Loss,
     LossScenario,
     ScenarioSubType,
     ScenarioType,
@@ -42,25 +40,6 @@ from stpa_loc.report import (
 
 E2C = TableDirection.EFFECT_TO_CAUSE
 C2E = TableDirection.CAUSE_TO_EFFECT
-
-HOST_SOURCE = """
-system "host" {
-  controller C
-  process P {contains_ai: true}
-  loss L-1 "a loss"
-  loss L-2 "b loss"
-  hazard H-1 "a hazard" leads_to L-1, L-2
-  control_action CA-1 "act" from C to P
-  annotate CA-1 not_provided context "idle" hazards H-1
-}
-"""
-
-
-@pytest.fixture(scope="module")
-def host():
-    model, diags = parse_model(HOST_SOURCE)
-    assert diags == []
-    return model
 
 
 def scenario(sid="S-1", uca="CA-1-not_provided", chars=(AiCharacteristic.AGENCY,), **overrides):
