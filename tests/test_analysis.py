@@ -61,6 +61,8 @@ from stpa_loc.model import (
     model_fingerprint,
 )
 
+from strategies import models
+
 
 def scenario(
     factors,
@@ -130,6 +132,17 @@ def test_enumerate_rejects_invalid_model():
     )
     with pytest.raises(InvalidModel):
         enumerate_ucas(model)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=models())
+def test_enumeration_is_exhaustive_and_ordered(model):
+    ucas = enumerate_ucas(model)
+    assert len(ucas) == 4 * len(model.control_actions)
+    ids = [u.id for u in ucas]
+    assert len(set(ids)) == len(ids)
+    keys = [(u.control_action, u.uca_type.rank) for u in ucas]
+    assert keys == sorted(keys)
 
 
 # --- constraint derivation -----------------------------------------------------

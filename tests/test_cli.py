@@ -902,6 +902,11 @@ def test_non_utf8_argv_bytes_are_a_usage_error(ledger_env):
 # --- determinism ----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("argv", READ_ONLY_COMMANDS, ids=lambda argv: " ".join(argv[:1] + argv[3:]))
+def test_read_only_commands_are_deterministic(argv):
+    assert run_cli(argv) == run_cli(argv)
+
+
 RUN_IN_CHILD = "import json, sys; from conftest import run_cli; print(json.dumps([run_cli(a) for a in json.loads(sys.argv[1])]))"
 
 

@@ -41,7 +41,7 @@ from stpa_loc.model import (
 )
 
 from conftest import MODEL_PATH, SCENARIOS_PATH, TINY_MODEL
-from strategies import apply_edits, edits
+from strategies import apply_edits, edits, models
 from stages import scenario_source, synthetic
 
 
@@ -680,6 +680,16 @@ def test_canonical_text_parses_back_equal():
     reparsed, diags = parse_model(serialize_model(model))
     assert diags == []
     assert model_fingerprint(reparsed) == model_fingerprint(model)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=models())
+def test_round_trip_preserves_fingerprint(model):
+    text = serialize_model(model)
+    reparsed, diags = parse_model(text)
+    assert diags == []
+    assert model_fingerprint(reparsed) == model_fingerprint(model)
+    assert serialize_model(reparsed) == text
 
 
 # --- scenario files ---------------------------------------------------------
