@@ -50,6 +50,7 @@ from .model import (
     in_declaration_order,
     model_fingerprint,
     _require_valid,
+    _token_table,
 )
 
 __all__ = [
@@ -277,7 +278,9 @@ class ResolvedScenario:
 def resolve_scenario(scenario: LossScenario, model: ControlStructureModel) -> ResolvedScenario:
     """Follow origin -> UCA -> hazards -> loss ids by key, for tables and pathways.
 
-    Raises :class:`DanglingReference` for an unknown origin, UCA or hazard.
+    The model keeps each ``uca:`` reference's result, which every scenario
+    citing it shares. Raises :class:`DanglingReference`, on every call, for
+    an unknown origin, UCA or hazard.
     """
     if scenario.origin_component not in model.components:
         raise DanglingReference(
@@ -286,6 +289,8 @@ def resolve_scenario(scenario: LossScenario, model: ControlStructureModel) -> Re
         )
     if not scenario.uca:
         return ResolvedScenario(uca=None, hazards=(), loss_ids=())
+    if (resolved := model._resolutions.get(scenario.uca)) is not None:
+        return resolved
     uca = _resolve_uca(scenario.uca, model)
     hazards = []
     for hazard_id in sorted(uca.hazards):
@@ -293,14 +298,16 @@ def resolve_scenario(scenario: LossScenario, model: ControlStructureModel) -> Re
             raise DanglingReference(f"scenario {scenario.id} reaches unknown hazard {hazard_id!r}")
         hazards.append(model.hazards[hazard_id])
     loss_ids = tuple(sorted(set().union(*(hazard.leads_to for hazard in hazards))))
-    return ResolvedScenario(uca, tuple(hazards), loss_ids)
+    resolved = model._resolutions[scenario.uca] = ResolvedScenario(uca, tuple(hazards), loss_ids)
+    return resolved
 
 
 def _resolve_uca(uca_ref: str, model: ControlStructureModel) -> UnsafeControlAction:
     # no UCA type token contains "-", so the last "-" ends the action id
     ca_id, dash, token = uca_ref.rpartition("-")
-    if dash and token in UcaType.tokens() and ca_id in model.control_actions:
-        return _build_uca(model, ca_id, UcaType(token))
+    uca_type = _token_table(UcaType).get(token)
+    if dash and uca_type is not None and ca_id in model.control_actions:
+        return _build_uca(model, ca_id, uca_type)
     raise DanglingReference(f"UCA {uca_ref!r} does not resolve in the model")
 
 
@@ -523,7 +530,9 @@ def ledger_exposure(ledger: Ledger, as_of: datetime) -> dict:
     (sum of severity weights: Low=1, Medium=3, High=9), and
     ``by_component`` (open record ids per component, sorted).
     """
-    open_records = [record for record in ledger.records if record.is_open(as_of)]
+    if ledger.records:  # an empty ledger sums to zero whatever as_of is
+        as_of = _require_utc("as_of", as_of)
+    open_records = [r for r in ledger.records if r.opened_at <= as_of and (r.closed_at is None or r.closed_at > as_of)]
     by_component: dict[str, list[str]] = {}
     for record in open_records:
         by_component.setdefault(record.component, []).append(record.id)

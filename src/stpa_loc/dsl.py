@@ -28,10 +28,11 @@ descent. The prefix takes the declarations that repeat: each one-line model
 item, or `scenario` block with its fields in grammar order, that lexes without
 a diagnostic and that the next significant line does not extend (`,`, `{`,
 `via`, `enforced_by`, `hazards`) is one pattern match, built straight into its
-record. A vocabulary token there is any lowercase word, which the enums check
-after the match; a word they do not know sends its line to the token path.
-Each stretch of the token path ends where the next line the prefix takes
-begins. If the parser is at item level there, the prefix takes over again; if
+record; a model item builds no token. A vocabulary token there is any
+lowercase word, which its vocabulary's token dict checks after the match; a
+word the dict lacks, or a model id or annotated pair declared before, sends
+the line to the token path, which reports it. Each stretch of the token path
+ends where the next line the prefix takes begins. If the parser is at item level there, the prefix takes over again; if
 an item runs on, the token path lexes its next stretch. Tokens carry their
 positions; a `SourceSpan` is built only for a diagnostic.
 Diagnostics come out as without the prefix: the lexer's first, then the
@@ -95,6 +96,7 @@ from .model import (
     UcaType,
     _COLLECTIONS,
     _require_valid,
+    _token_table,
 )
 
 _COMPONENT_KEYWORDS = {
@@ -106,6 +108,9 @@ _COMPONENT_KEYWORDS = {
 }
 
 _KEYWORD_FOR_KIND = {kind: word for word, kind in _COMPONENT_KEYWORDS.items()}
+
+# Each channel keyword, the category of id it declares and its record type.
+_CHANNELS = {"control_action": ("control action", ControlAction), "feedback": ("feedback channel", FeedbackChannel)}
 
 _AGENT_WORDS = {
     "human": AgentNature.HUMAN,
@@ -294,6 +299,12 @@ def _split(ids: str | None) -> list[str]:
     return ids.replace(" ", "").split(",") if ids else []
 
 
+def _words(cls, words: str | None) -> list:
+    """The members of ``cls`` a fast-prefix word list names, by dict; a word it lacks raises the enum's ValueError."""
+    members = _token_table(cls)
+    return [members.get(word) or cls(word) for word in _split(words)]
+
+
 def _group_token(m: re.Match[str], group: str, file: str, line: int, line_start: int) -> Token:
     return Token(IDENT, m[group], file, line, m.start(group) - line_start + 1, m.end(group) - m.start(group))
 
@@ -333,7 +344,7 @@ class _Parser:
         m = item.match(source, pos)
         while m is not None:
             if m.lastgroup is not None:
-                try:  # fast_item looks up every vocabulary word before it changes any state
+                try:  # fast_item raises before it changes any state: at a word no vocabulary holds or a taken id
                     self.fast_item(m, line, pos)
                 except ValueError:
                     break
@@ -485,8 +496,11 @@ class _ModelParser(_Parser):
         if tok.text in self.namespace:
             self.error("DuplicateId", f"id {tok.text} already declared as a {self.namespace[tok.text]}", tok)
             return
-        self.namespace[tok.text] = category
-        self.collections[_COLLECTIONS[category]][tok.text] = record
+        self.claim(tok.text, category, record)
+
+    def claim(self, item_id: str, category: str, record: object) -> None:
+        self.namespace[item_id] = category
+        self.collections[_COLLECTIONS[category]][item_id] = record
 
     def annotate(self, ca_tok: Token, uca_type: UcaType, context: str, hazards: list[str]) -> None:
         key = (ca_tok.text, uca_type)
@@ -495,30 +509,36 @@ class _ModelParser(_Parser):
             message = f"control action {ca_tok.text} already annotated for {uca_type.token}"
             self.error("DuplicateAnnotation", message, ca_tok)
             return
-        annotations[key] = UcaAnnotation(
-            control_action=ca_tok.text, uca_type=uca_type, context=context, hazards=frozenset(hazards)
-        )
+        annotations[key] = UcaAnnotation(ca_tok.text, uca_type, context, frozenset(hazards))
 
     def fast_item(self, m: re.Match[str], line: int, line_start: int) -> None:
-        # a declaration's id group is <kind>_id and its string <kind>_text
+        # A declaration's id group is <kind>_id and its string <kind>_text. No
+        # token is built: a taken id or annotated pair is a ValueError, and the
+        # token path reads the line again and reports it at the id's token.
         kind = m.lastgroup
-        tok = _group_token(m, f"{kind}_id", self.file, line, line_start)
+        item_id = m[f"{kind}_id"]
         text = _unescape(m[f"{kind}_text"] or "")
+        if kind == "annotate":
+            key = (item_id, _words(UcaType, m["uca_type"])[0])
+            if key in self.collections["annotations"]:
+                raise ValueError(f"control action {item_id} already annotated")
+            self.collections["annotations"][key] = UcaAnnotation(*key, text, frozenset(_split(m["hazards"])))
+            return
+        if item_id in self.namespace:
+            raise ValueError(f"id {item_id} already declared")
         if kind == "component":
             nature = AgentNature.AI_CONTAINING if m["ai"] == "true" else _AGENT_WORDS[m["kind"] or "automated"]
-            record = Component(tok.text, tok.text, _COMPONENT_KEYWORDS[m["keyword"]], nature, text)
-            self.claim_id(tok, kind, record)
+            self.claim(item_id, kind, Component(item_id, item_id, _COMPONENT_KEYWORDS[m["keyword"]], nature, text))
         elif kind == "loss":
-            self.claim_id(tok, kind, Loss(tok.text, text))
+            self.claim(item_id, kind, Loss(item_id, text))
         elif kind == "hazard":
-            self.claim_id(tok, kind, Hazard(tok.text, text, frozenset(_split(m["leads_to"]))))
+            self.claim(item_id, kind, Hazard(item_id, text, frozenset(_split(m["leads_to"]))))
         elif kind == "constraint":
             mitigates, enforced_by = frozenset(_split(m["mitigates"])), frozenset(_split(m["enforced_by"]))
-            self.claim_id(tok, kind, SafetyConstraint(tok.text, text, mitigates, enforced_by))
-        elif kind == "channel":
-            self.channel(tok, m["channel_kind"] == "control_action", text, m["source"], m["target"], m["via"])
+            self.claim(item_id, kind, SafetyConstraint(item_id, text, mitigates, enforced_by))
         else:
-            self.annotate(tok, UcaType(m["uca_type"]), text, _split(m["hazards"]))
+            what, cls = _CHANNELS[m["channel_kind"]]
+            self.claim(item_id, what, cls(item_id, text, m["source"], m["target"], m["via"]))
 
     def parse(self) -> ControlStructureModel:
         if self.expect_keyword("system"):
@@ -596,13 +616,8 @@ class _ModelParser(_Parser):
             mitigates, enforced_by = frozenset(self.ident_list()), frozenset(self.ids_after("enforced_by"))
             self.claim_id(head[0], "constraint", SafetyConstraint(head[0].text, head[1].text, mitigates, enforced_by))
 
-    def channel(self, tok: Token, control: bool, label: str, source: str, target: str, via: str | None) -> None:
-        what, cls = ("control action", ControlAction) if control else ("feedback channel", FeedbackChannel)
-        self.claim_id(tok, what, cls(id=tok.text, label=label, source=source, target=target, via=via))
-
     def channel_item(self, word: str) -> None:
-        control = word == "control_action"
-        what = "control action" if control else "feedback channel"
+        what, cls = _CHANNELS[word]
         if not (head := self.declaration(what, f"the {what} label", "from")):
             return
         source_tok = self.expect(IDENT, "the source component id")
@@ -616,7 +631,7 @@ class _ModelParser(_Parser):
             via_tok = self.expect(IDENT, "the via component id")
             if via_tok is not None:
                 via = via_tok.text
-        self.channel(head[0], control, head[1].text, source_tok.text, target_tok.text, via)
+        self.claim_id(head[0], what, cls(head[0].text, head[1].text, source_tok.text, target_tok.text, via))
 
     def annotate_item(self, _word: str) -> None:
         ca_tok = self.expect(IDENT, "a control action id")
@@ -743,10 +758,10 @@ class _ScenarioParser(_Parser):
         fields = {
             "origin_component": m["origin"],
             "uca": m["uca"],
-            "scenario_type": ScenarioType(m["type"]),
-            "sub_types": [ScenarioSubType(word) for word in _split(m["sub_types"])],
-            "causal_factors": [CausalFactorType(word) for word in _split(m["factors"])],
-            "ai_characteristics": [AiCharacteristic(word) for word in _split(m["characteristics"])],
+            "scenario_type": _words(ScenarioType, m["type"])[0],
+            "sub_types": _words(ScenarioSubType, m["sub_types"]),
+            "causal_factors": _words(CausalFactorType, m["factors"]),
+            "ai_characteristics": _words(AiCharacteristic, m["characteristics"]),
             "catalog_refs": _split(m["catalog"]),
             "description": _unescape(m["description"]),
         }

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -58,7 +59,8 @@ class InvalidModel(Exception):
 # display surface form used when rendering tables. Each member declares
 # both, as ``MEMBER = "token", "Surface form"``; a member declared with a
 # token alone has an empty surface form. Tokens round-trip:
-# Cls(member.token) is member.
+# Cls(member.token) is member. ``rank`` is a member's position in the
+# declaration order of its vocabulary.
 # --------------------------------------------------------------------------
 
 
@@ -67,16 +69,13 @@ class Vocabulary(Enum):
         member = object.__new__(cls)
         member._value_ = member.token = token
         member.surface = surface
+        member.rank = len(cls.__members__)  # the members declared before this one
         return member
 
-    @property
-    def rank(self) -> int:
-        """Position within the declaration order of this vocabulary."""
-        return _rank_table(type(self))[self]
-
     @classmethod
+    @functools.cache
     def tokens(cls) -> tuple[str, ...]:
-        return _token_table(cls)
+        return tuple(_token_table(cls))
 
 
 class LifecyclePhase(Vocabulary):
@@ -218,20 +217,13 @@ def in_declaration_order(values: Iterable[Vocabulary]) -> list:
     Set-valued fields render in this order so output is stable no matter
     how the set was assembled.
     """
-    pool = list(values)
-    if not pool:
-        return []
-    return sorted(pool, key=_rank_table(type(pool[0])).__getitem__)
+    return sorted(values, key=operator.attrgetter("rank"))
 
 
 @functools.cache
-def _rank_table(cls: type[Vocabulary]) -> dict[Vocabulary, int]:
-    return {member: i for i, member in enumerate(cls)}
-
-
-@functools.cache
-def _token_table(cls: type[Vocabulary]) -> tuple[str, ...]:
-    return tuple(member.token for member in cls)
+def _token_table(cls: type[Vocabulary]) -> dict[str, Vocabulary]:
+    """Each token of ``cls`` and its member: ``cls(token)`` without the enum's lookup frames."""
+    return {member.token: member for member in cls}
 
 
 # --------------------------------------------------------------------------
@@ -418,9 +410,10 @@ class LossScenario:
 class ControlStructureModel:
     """A control structure, keyed by id in each collection.
 
-    A model is a value: its validation result and its fingerprint are each
-    computed once, on first use, so its mappings must not be mutated after
-    construction. Build a changed model with ``dataclasses.replace``.
+    A model is a value: its validation result, its fingerprint and each
+    scenario resolution it serves are computed once, on first use, so its
+    mappings must not be mutated after construction. Build a changed model
+    with ``dataclasses.replace``, which starts with none of them.
     """
 
     name: str
@@ -466,6 +459,11 @@ class ControlStructureModel:
     @functools.cached_property
     def _fingerprint(self) -> str:
         return _digest(self)
+
+    @functools.cached_property
+    def _resolutions(self) -> dict:
+        """analysis.resolve_scenario's result per ``uca:`` reference that resolved."""
+        return {}
 
 
 # --------------------------------------------------------------------------

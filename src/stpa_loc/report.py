@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
+import operator
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _encode  # what json.dumps(ensure_ascii=False) runs per string
 
 from .analysis import DanglingReference, Pathway, StageKind, resolve_scenario
 from .model import (
@@ -201,14 +202,21 @@ def render_json(
     direction: TableDirection,
     model: ControlStructureModel,
 ) -> str:
-    """JSON export: {model_fingerprint, direction, rows}, keys in column order."""
-    keys = [(_COLUMNS[attr][1], attr) for attr in _columns(direction, rows)]
-    payload = {
-        "model_fingerprint": model_fingerprint(model),
-        "direction": direction.token,
-        "rows": [{key: getattr(row, attr) for key, attr in keys} for row in rows],
-    }
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    """JSON export: {model_fingerprint, direction, rows}, keys in column order.
+
+    The text is ``json.dumps(payload, indent=2, ensure_ascii=False) + "\\n"``, built with its C string encoder.
+    """
+    columns = _columns(direction, rows)
+    keys = [f"      {_encode(_COLUMNS[attr][1])}: " for attr in columns]
+    cells = operator.attrgetter(*columns)
+    fingerprint = _encode(model_fingerprint(model))
+    texts = [f'{{\n  "model_fingerprint": {fingerprint},\n  "direction": "{direction.token}",\n  "rows": [']
+    opening = "\n    {\n"
+    for row in rows:
+        texts.append(opening + ",\n".join(map(operator.add, keys, map(_encode, cells(row)))) + "\n    }")
+        opening = ",\n    {\n"
+    texts.append("\n  ]\n}\n" if rows else "]\n}\n")
+    return "".join(texts)
 
 
 def render_pathway(pathway: Pathway) -> str:

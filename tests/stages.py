@@ -112,13 +112,20 @@ def scenario_source(scenarios: list[LossScenario]) -> str:
 
 
 def table_run(n):
+    """A model keeps its scenario resolutions, so each call resolves against a fresh copy."""
     model, scenarios = synthetic(n)
-    return lambda: build_table(scenarios, model, TableDirection.EFFECT_TO_CAUSE, include_loss=True)
+    return lambda: build_table(scenarios, dataclasses.replace(model), TableDirection.EFFECT_TO_CAUSE, include_loss=True)
 
 
 def pathway_run(n):
+    """A model keeps its scenario resolutions, so each call resolves against a fresh copy."""
     model, scenarios = synthetic(n)
-    return lambda: [trace_pathway(scenario, model) for scenario in scenarios]
+
+    def run():
+        fresh = dataclasses.replace(model)
+        return [trace_pathway(scenario, fresh) for scenario in scenarios]
+
+    return run
 
 
 def renderer_run(render, direction=TableDirection.CAUSE_TO_EFFECT):

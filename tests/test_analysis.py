@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from stpa_loc import analysis as analysis_mod
 from stpa_loc.analysis import (
     AnalysisError,
     DanglingReference,
@@ -61,6 +63,7 @@ from stpa_loc.model import (
     model_fingerprint,
 )
 
+from stpa_loc.report import TableDirection, build_table
 from strategies import models
 
 
@@ -583,6 +586,44 @@ def test_trace_dangling_reference_messages(host):
         assert str(raised.value) == message
 
 
+def test_each_uca_reference_is_built_once_per_model(fixture_model, fixture_scenarios, monkeypatch):
+    built = []
+    build = analysis_mod._build_uca
+    monkeypatch.setattr(analysis_mod, "_build_uca", lambda *args: built.append(args[1:]) or build(*args))
+    model = dataclasses.replace(fixture_model)
+    build_table(fixture_scenarios, model, TableDirection.EFFECT_TO_CAUSE)
+    build_table(fixture_scenarios, model, TableDirection.CAUSE_TO_EFFECT, include_loss=True)
+    for drafted in fixture_scenarios:
+        trace_pathway(drafted, model)
+    cited = {drafted.uca for drafted in fixture_scenarios if drafted.uca}
+    assert len(built) == len(cited) > 1
+    assert {uca_id(ca_id, uca_type) for ca_id, uca_type in built} == cited
+
+
+def test_a_dangling_reference_raises_on_every_call(host):
+    model = _unknown_hazard_model()
+    cases = [(cites("CA-1-not_provided", origin="C"), model), (cites("CA-9-not_provided"), host)]
+    for drafted, target in cases:
+        for _ in range(3):
+            with pytest.raises(DanglingReference):
+                resolve_scenario(drafted, target)
+    # a scenario that resolves does not vouch for another citing the same UCA
+    resolve_scenario(cites("CA-1-not_provided"), host)
+    with pytest.raises(DanglingReference, match="origin 'Ghost'"):
+        resolve_scenario(cites("CA-1-not_provided", origin="Ghost"), host)
+
+
+def test_resolutions_leave_the_model_value_alone(fixture_model, fixture_scenarios):
+    model = dataclasses.replace(fixture_model)
+    before = repr(model)
+    for drafted in fixture_scenarios:
+        resolve_scenario(drafted, model)
+    assert model.__dict__["_resolutions"]
+    assert repr(model) == before and model == fixture_model
+    fresh = dataclasses.replace(model)
+    assert "_resolutions" not in fresh.__dict__ and fresh._resolutions == {}
+
+
 # --- degradation ledger --------------------------------------------------------------
 
 
@@ -699,6 +740,23 @@ def test_exposure_summary(host):
     }
     before_resolution = T0 + timedelta(hours=1)
     assert ledger_exposure(ledger, before_resolution)["weighted"] == 13
+
+
+def test_exposure_checks_as_of_once_a_record_exists(host):
+    naive = datetime(2026, 1, 8)
+    # an empty ledger has nothing to compare, so any as_of sums to zero
+    assert ledger_exposure(Ledger.for_model(host), naive) == {"open_count": 0, "weighted": 0, "by_component": {}}
+    ledger = ledger_register(ledger_register(Ledger.for_model(host), record("V-1")), record("V-2", "C"))
+    with pytest.raises(ValueError, match="^as_of must be timezone-aware$"):
+        ledger_exposure(ledger, naive)
+    edge = datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=1)))
+    with pytest.raises(ValueError, match="^as_of is out of range in UTC: "):
+        ledger_exposure(ledger, edge)
+    # the same moment in another zone gives the same summary
+    east = (T0 + timedelta(hours=1)).astimezone(timezone(timedelta(hours=5)))
+    assert ledger_exposure(ledger, east) == ledger_exposure(ledger, T0 + timedelta(hours=1))
+    assert ledger_exposure(ledger, east)["open_count"] == 2
+    assert ledger_exposure(ledger, T0 - timedelta(seconds=1))["open_count"] == 0
 
 
 def test_severity_weights():

@@ -36,6 +36,8 @@ from stpa_loc.report import (
     render_markdown,
     render_pathway,
     unescape_cell,
+    _COLUMNS,
+    _columns,
 )
 
 E2C = TableDirection.EFFECT_TO_CAUSE
@@ -393,6 +395,47 @@ def test_json_cause_direction_key_order(host):
 
 def test_json_ends_with_newline(host):
     assert render_json([], E2C, host).endswith("\n")
+
+
+# Cell text with what JSON escapes or passes through: quotes, backslashes,
+# control characters, DEL, U+2028, astral characters and a lone surrogate.
+_CELL_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x1f\t\n\x7f\u2028\u2029\ud800\udfff\U0001f600é'),
+        st.characters(),
+    )
+)
+
+
+def reference_json(rows, direction, model):
+    """The JSON export as ``json.dumps`` writes it."""
+    keys = [(_COLUMNS[attr][1], attr) for attr in _columns(direction, rows)]
+    payload = {
+        "model_fingerprint": model_fingerprint(model),
+        "direction": direction.token,
+        "rows": [{key: getattr(row, attr) for key, attr in keys} for row in rows],
+    }
+    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cells=st.lists(st.lists(_CELL_TEXT, min_size=9, max_size=9), max_size=5),
+    direction=st.sampled_from(list(TableDirection)),
+    with_loss=st.booleans(),
+)
+def test_json_is_the_json_dumps_text(host, cells, direction, with_loss):
+    rows = [CharacterizationRow(*texts[:8], loss=texts[8] if with_loss else None) for texts in cells]
+    assert render_json(rows, direction, host) == reference_json(rows, direction, host)
+
+
+def test_json_matches_json_dumps_on_zero_one_and_many_rows(fixture_model, fixture_scenarios):
+    for direction in TableDirection:
+        for with_loss in (False, True):
+            rows = build_table(fixture_scenarios, fixture_model, direction, include_loss=with_loss)
+            assert len(rows) > 1
+            for some in (rows, rows[:1], []):
+                assert render_json(some, direction, fixture_model) == reference_json(some, direction, fixture_model)
 
 
 # --- pathway rendering ------------------------------------------------------------
