@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import (
     CausalFactorType,
@@ -292,14 +292,18 @@ def resolve_scenario(scenario: LossScenario, model: ControlStructureModel) -> Re
     if (resolved := model._resolutions.get(scenario.uca)) is not None:
         return resolved
     uca = _resolve_uca(scenario.uca, model)
-    hazards = []
-    for hazard_id in sorted(uca.hazards):
-        if hazard_id not in model.hazards:
-            raise DanglingReference(f"scenario {scenario.id} reaches unknown hazard {hazard_id!r}")
-        hazards.append(model.hazards[hazard_id])
+    hazards = _lookup(scenario, "hazard", sorted(uca.hazards), model.hazards)
     loss_ids = tuple(sorted(set().union(*(hazard.leads_to for hazard in hazards))))
-    resolved = model._resolutions[scenario.uca] = ResolvedScenario(uca, tuple(hazards), loss_ids)
+    resolved = model._resolutions[scenario.uca] = ResolvedScenario(uca, hazards, loss_ids)
     return resolved
+
+
+def _lookup(scenario: LossScenario, what: str, refs: Sequence[str], entries: Mapping) -> tuple:
+    """The entry for each id of ``refs``, in order. Raises :class:`DanglingReference` at the first unknown id."""
+    for ref in refs:
+        if ref not in entries:
+            raise DanglingReference(f"scenario {scenario.id} reaches unknown {what} {ref!r}")
+    return tuple(entries[ref] for ref in refs)
 
 
 def _resolve_uca(uca_ref: str, model: ControlStructureModel) -> UnsafeControlAction:

@@ -395,13 +395,11 @@ class LossScenario:
             raise ValueError(f"scenario {self.id}: causal_factors must be non-empty")
         if not self.sub_types:
             raise ValueError(f"scenario {self.id}: sub_types must be non-empty")
-        legal = set(SUBTYPES_FOR_TYPE[self.scenario_type])
-        for sub in self.sub_types:
-            if sub not in legal:
-                raise ValueError(
-                    f"scenario {self.id}: sub-type {sub.token} is not legal for "
-                    f"{self.scenario_type.token}"
-                )
+        illegal = in_declaration_order(self.sub_types.difference(SUBTYPES_FOR_TYPE[self.scenario_type]))
+        if illegal:
+            raise ValueError(
+                f"scenario {self.id}: sub-type {illegal[0].token} is not legal for {self.scenario_type.token}"
+            )
         if self.scenario_type is ScenarioType.TYPE_A_UNSAFE_CONTROL_ACTION and self.uca is None:
             raise ValueError(f"scenario {self.id}: type_a scenarios must reference a UCA")
 
@@ -499,31 +497,24 @@ def _id_collections(model: ControlStructureModel) -> tuple[tuple[str, Mapping], 
     return tuple((category, getattr(model, name)) for category, name in _COLLECTIONS.items())
 
 
-def _check_endpoint(
-    diags: list[Diagnostic],
-    model: ControlStructureModel,
-    owner: str,
-    role: str,
-    ref: str | None,
-    expected: ComponentKind,
-    required: bool,
-) -> None:
-    if ref is None:
-        if required:
-            diags.append(_err("DanglingComponentRef", f"{owner}: missing {role} component"))
-        return
-    component = model.components.get(ref)
-    if component is None:
-        diags.append(
-            _err("DanglingComponentRef", f"{owner}: {role} references undefined component {ref}")
-        )
-    elif component.kind is not expected:
-        diags.append(
-            _err(
-                "WrongComponentKind",
-                f"{owner}: {role} {ref} must be a {expected.token}, found {component.kind.token}",
-            )
-        )
+# The component kind that a channel's source, target and via must name, per category.
+_ENDPOINT_KINDS = {
+    "control action": (ComponentKind.CONTROLLER, ComponentKind.CONTROLLED_PROCESS, ComponentKind.ACTUATOR),
+    "feedback channel": (ComponentKind.CONTROLLED_PROCESS, ComponentKind.CONTROLLER, ComponentKind.SENSOR),
+}
+
+# The rule code for an id-list reference to an undeclared id, per category of the id.
+_DANGLING = {"loss": "DanglingLossRef", "hazard": "DanglingHazardRef", "control action": "DanglingControlActionRef"}
+
+
+def _dangling(model: ControlStructureModel, owner: str, what: str, refs: Iterable[str]) -> list[Diagnostic]:
+    """One Error per id of ``refs``, in sorted order, that the model declares no ``what`` for."""
+    known = getattr(model, _COLLECTIONS[what])
+    found = []
+    for ref in sorted(refs):
+        if ref not in known:
+            found.append(_err(_DANGLING[what], f"{owner} undefined {what} {ref}"))
+    return found
 
 
 def _require_valid(model: ControlStructureModel) -> None:
@@ -594,40 +585,30 @@ def _check(model: ControlStructureModel) -> list[Diagnostic]:
             )
         if not hazard.leads_to:
             diags.append(_err("HazardNoLoss", f"hazard {hazard.id} links to no loss"))
-        for ref in sorted(hazard.leads_to):
-            if ref not in model.losses:
-                diags.append(_err("DanglingLossRef", f"hazard {hazard.id} leads_to undefined loss {ref}"))
+        diags += _dangling(model, f"hazard {hazard.id} leads_to", "loss", hazard.leads_to)
 
     for constraint in (model.constraints[k] for k in sorted(model.constraints)):
         if not constraint.text.strip():
             diags.append(_err("EmptyDescription", f"constraint {constraint.id} has empty text"))
         if not constraint.mitigates:
             diags.append(_err("ConstraintNoHazard", f"constraint {constraint.id} mitigates no hazard"))
-        for ref in sorted(constraint.mitigates):
-            if ref not in model.hazards:
-                diags.append(
-                    _err("DanglingHazardRef", f"constraint {constraint.id} mitigates undefined hazard {ref}")
-                )
-        for ref in sorted(constraint.enforced_by):
-            if ref not in model.control_actions:
-                diags.append(
-                    _err(
-                        "DanglingControlActionRef",
-                        f"constraint {constraint.id} enforced_by undefined control action {ref}",
-                    )
-                )
+        diags += _dangling(model, f"constraint {constraint.id} mitigates", "hazard", constraint.mitigates)
+        diags += _dangling(model, f"constraint {constraint.id} enforced_by", "control action", constraint.enforced_by)
 
-    for action in (model.control_actions[k] for k in sorted(model.control_actions)):
-        owner = f"control action {action.id}"
-        _check_endpoint(diags, model, owner, "source", action.source, ComponentKind.CONTROLLER, True)
-        _check_endpoint(diags, model, owner, "target", action.target, ComponentKind.CONTROLLED_PROCESS, True)
-        _check_endpoint(diags, model, owner, "via", action.via, ComponentKind.ACTUATOR, False)
-
-    for channel in (model.feedback_channels[k] for k in sorted(model.feedback_channels)):
-        owner = f"feedback channel {channel.id}"
-        _check_endpoint(diags, model, owner, "source", channel.source, ComponentKind.CONTROLLED_PROCESS, True)
-        _check_endpoint(diags, model, owner, "target", channel.target, ComponentKind.CONTROLLER, True)
-        _check_endpoint(diags, model, owner, "via", channel.via, ComponentKind.SENSOR, False)
+    for category, kinds in _ENDPOINT_KINDS.items():
+        channels = getattr(model, _COLLECTIONS[category])
+        for channel in (channels[k] for k in sorted(channels)):
+            owner = f"{category} {channel.id}"
+            for role, expected in zip(("source", "target", "via"), kinds):
+                ref = getattr(channel, role)
+                if ref is None:
+                    if role != "via":
+                        diags.append(_err("DanglingComponentRef", f"{owner}: missing {role} component"))
+                elif (component := model.components.get(ref)) is None:
+                    diags.append(_err("DanglingComponentRef", f"{owner}: {role} references undefined component {ref}"))
+                elif component.kind is not expected:
+                    message = f"{owner}: {role} {ref} must be a {expected.token}, found {component.kind.token}"
+                    diags.append(_err("WrongComponentKind", message))
 
     annotation_keys = sorted(model.annotations, key=lambda k: (k[0], k[1].token))
     for key in annotation_keys:
@@ -639,9 +620,7 @@ def _check(model: ControlStructureModel) -> list[Diagnostic]:
             diags.append(
                 _err("DanglingControlActionRef", f"{owner} references undefined control action")
             )
-        for ref in sorted(annotation.hazards):
-            if ref not in model.hazards:
-                diags.append(_err("DanglingHazardRef", f"{owner} references undefined hazard {ref}"))
+        diags += _dangling(model, f"{owner} references", "hazard", annotation.hazards)
 
     # hazards nothing points at are probably analysis gaps
     used_hazards: set[str] = set()

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _encode  # what json.dumps(ensure_ascii=False) runs per string
 
-from .analysis import DanglingReference, Pathway, StageKind, resolve_scenario
+from .analysis import Pathway, StageKind, _lookup, resolve_scenario
 from .model import (
     ControlStructureModel,
     LossScenario,
@@ -118,7 +118,7 @@ def build_table(
     hazard ids then scenario id (rows without a hazard link trail);
     cause-to-effect sorts by the rendered characteristics cell then
     scenario id. Links are followed by
-    :func:`~stpa_loc.analysis.resolve_scenario`. Raises
+    :func:`~stpa_loc.analysis.resolve_scenario`, loss ids by its lookup. Raises
     :class:`~stpa_loc.analysis.DanglingReference` when a scenario's
     origin, UCA, hazard, or loss link does not resolve.
     """
@@ -127,15 +127,8 @@ def build_table(
         resolved = resolve_scenario(scenario, model)
         loss_cell = None
         if include_loss:
-            loss_texts = []
-            for loss_id in resolved.loss_ids:
-                loss = model.losses.get(loss_id)
-                if loss is None:
-                    raise DanglingReference(
-                        f"scenario {scenario.id} reaches unknown loss {loss_id!r}"
-                    )
-                loss_texts.append(loss.description)
-            loss_cell = "; ".join(loss_texts) or "N/A"
+            losses = _lookup(scenario, "loss", resolved.loss_ids, model.losses)
+            loss_cell = "; ".join(loss.description for loss in losses) or "N/A"
         row = CharacterizationRow(
             lifecycle=model.lifecycle.surface,
             hazard="; ".join(hazard.description for hazard in resolved.hazards) or "N/A",

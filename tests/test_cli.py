@@ -181,6 +181,26 @@ def test_validate_warnings_do_not_fail(tmp_path):
     assert "UnlinkedHazard" in err
 
 
+def test_validate_prints_every_broken_link_as_the_golden(monkeypatch):
+    monkeypatch.chdir(GOLDEN_DIR)
+    golden = (GOLDEN_DIR / "broken_links.err").read_text(encoding="utf-8")
+    assert run_cli(["validate", "broken_links.stpa"]) == (1, "", golden)
+
+
+def test_an_illegal_pairing_names_one_sub_type_whatever_the_hash_seed():
+    argv = [sys.executable, "-m", "stpa_loc.cli", "report", str(MODEL_PATH), str(GOLDEN_DIR / "illegal_pairing.stpa")]
+    runs = [
+        subprocess.run(
+            argv, env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(Path(analysis.__file__).parent.parent)),
+            capture_output=True, timeout=60,
+        )
+        for seed in ("0", "1")
+    ]
+    assert [(done.returncode, done.stdout) for done in runs] == [(1, b"")] * 2
+    assert runs[0].stderr == runs[1].stderr
+    assert b": scenario S-1: sub-type not_executed is not legal for type_a\n" in runs[0].stderr
+
+
 def test_validate_unparseable_model(tmp_path):
     model = write(tmp_path, "noise.stpa", "bang bang bang")
     code, _, err = run_cli(["validate", model])

@@ -353,6 +353,102 @@ def test_unlinked_hazard_is_a_warning():
     assert not has_errors(diags)
 
 
+def test_every_validator_message_in_order():
+    """Two models that together trip all 16 rule codes: every line, in diagnostic order."""
+    names = ControlStructureModel(
+        name="m",
+        lifecycle=LifecyclePhase.OPERATIONS,
+        components={
+            "9A": Component(id="9A", name="a", kind=ComponentKind.ACTUATOR),
+            "S": Component(id="T", name="s", kind=ComponentKind.SENSOR),
+        },
+        losses={"X": Loss(id="X", description="a loss")},
+        hazards={"X": Hazard(id="X", description="a hazard", leads_to={"X"})},
+        control_actions={"9A": ControlAction(id="9A", label="go", source="C", target="P")},
+    )
+    misfiled = UcaAnnotation(control_action="CA-9", uca_type=UcaType.WRONG_DURATION, context="c", hazards={"H-7", "H-1"})
+    links = dataclasses.replace(
+        minimal_model(
+            components=[
+                Component(id="C", name="C", kind=ComponentKind.CONTROLLER),
+                Component(id="P", name="P", kind=ComponentKind.CONTROLLED_PROCESS),
+                Component(id="A", name="A", kind=ComponentKind.ACTUATOR),
+                Component(id="G", name="G", kind=ComponentKind.SENSOR),
+            ],
+            losses=[Loss(id="L-1", description="Plant  damaged"), Loss(id="L-2", description=" ")],
+            hazards=[
+                Hazard(id="H-1", description="plant damaged", leads_to={"L-9", "L-1", "L-8"}),
+                Hazard(id="H-2", description="", leads_to=set()),
+                Hazard(id="H-3", description="pressure high", leads_to={"L-1"}),
+            ],
+            constraints=[
+                SafetyConstraint(id="SC-1", text="", mitigates=set(), enforced_by={"CA-9", "CA-1"}),
+                SafetyConstraint(id="SC-2", text="keep it low", mitigates={"H-9", "H-1", "H-8"}, enforced_by={"CA-8"}),
+            ],
+            control_actions=[
+                ControlAction(id="CA-1", label="open", source="P", target="C", via="G"),
+                ControlAction(id="CA-2", label="close", source=None, target=None, via="Q"),
+                ControlAction(id="CA-3", label="hold", source="Z", target="P", via="A"),
+            ],
+            feedback_channels=[
+                FeedbackChannel(id="FB-1", label="read", source="C", target="P", via="A"),
+                FeedbackChannel(id="FB-2", label="see", source=None, target="Y", via="R"),
+            ],
+        ),
+        annotations={
+            ("CA-1", UcaType.NOT_PROVIDED): UcaAnnotation(
+                control_action="CA-1", uca_type=UcaType.NOT_PROVIDED, context="c", hazards={"H-6"}
+            ),
+            ("CA-2", UcaType.WRONG_DURATION): misfiled,
+        },
+    )
+    diags = [d for model in (names, links) for d in validate_model(model)]
+    assert len(codes(diags)) == 16
+    assert [format_diagnostic(d) for d in diags] == [
+        "<model>: error[BadIdentifier]: component id '9A' is not a legal identifier",
+        "<model>: error[KeyMismatch]: component keyed as S but declares id T",
+        "<model>: error[BadIdentifier]: control action id '9A' is not a legal identifier",
+        "<model>: error[HazardIdClashesLoss]: hazard id X collides with a loss id",
+        "<model>: error[DuplicateId]: id 9A declared as both component and control action",
+        "<model>: error[MissingController]: model declares no controller component",
+        "<model>: error[MissingControlledProcess]: model declares no controlled process component",
+        "<model>: error[DanglingComponentRef]: control action 9A: source references undefined component C",
+        "<model>: error[DanglingComponentRef]: control action 9A: target references undefined component P",
+        "<model>: warning[UnlinkedHazard]: hazard X is not referenced by any constraint or annotation",
+        "<model>: error[EmptyDescription]: loss L-2 has an empty description",
+        "<model>: error[HazardDescribesLoss]: hazard H-1 restates a loss description verbatim",
+        "<model>: error[DanglingLossRef]: hazard H-1 leads_to undefined loss L-8",
+        "<model>: error[DanglingLossRef]: hazard H-1 leads_to undefined loss L-9",
+        "<model>: error[EmptyDescription]: hazard H-2 has an empty description",
+        "<model>: error[HazardNoLoss]: hazard H-2 links to no loss",
+        "<model>: error[EmptyDescription]: constraint SC-1 has empty text",
+        "<model>: error[ConstraintNoHazard]: constraint SC-1 mitigates no hazard",
+        "<model>: error[DanglingControlActionRef]: constraint SC-1 enforced_by undefined control action CA-9",
+        "<model>: error[DanglingHazardRef]: constraint SC-2 mitigates undefined hazard H-8",
+        "<model>: error[DanglingHazardRef]: constraint SC-2 mitigates undefined hazard H-9",
+        "<model>: error[DanglingControlActionRef]: constraint SC-2 enforced_by undefined control action CA-8",
+        "<model>: error[WrongComponentKind]: control action CA-1: source P must be a controller, found controlled_process",
+        "<model>: error[WrongComponentKind]: control action CA-1: target C must be a controlled_process, found controller",
+        "<model>: error[WrongComponentKind]: control action CA-1: via G must be a actuator, found sensor",
+        "<model>: error[DanglingComponentRef]: control action CA-2: missing source component",
+        "<model>: error[DanglingComponentRef]: control action CA-2: missing target component",
+        "<model>: error[DanglingComponentRef]: control action CA-2: via references undefined component Q",
+        "<model>: error[DanglingComponentRef]: control action CA-3: source references undefined component Z",
+        "<model>: error[WrongComponentKind]: feedback channel FB-1: source C must be a controlled_process, found controller",
+        "<model>: error[WrongComponentKind]: feedback channel FB-1: target P must be a controller, found controlled_process",
+        "<model>: error[WrongComponentKind]: feedback channel FB-1: via A must be a sensor, found actuator",
+        "<model>: error[DanglingComponentRef]: feedback channel FB-2: missing source component",
+        "<model>: error[DanglingComponentRef]: feedback channel FB-2: target references undefined component Y",
+        "<model>: error[DanglingComponentRef]: feedback channel FB-2: via references undefined component R",
+        "<model>: error[DanglingHazardRef]: annotation (CA-1, not_provided) references undefined hazard H-6",
+        "<model>: error[KeyMismatch]: annotation (CA-9, wrong_duration) stored under key ('CA-2', <UcaType.WRONG_DURATION: 'wrong_duration'>)",
+        "<model>: error[DanglingControlActionRef]: annotation (CA-9, wrong_duration) references undefined control action",
+        "<model>: error[DanglingHazardRef]: annotation (CA-9, wrong_duration) references undefined hazard H-7",
+        "<model>: warning[UnlinkedHazard]: hazard H-2 is not referenced by any constraint or annotation",
+        "<model>: warning[UnlinkedHazard]: hazard H-3 is not referenced by any constraint or annotation",
+    ]
+
+
 # --- scenario and UCA value rules ------------------------------------------
 
 
