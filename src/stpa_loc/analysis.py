@@ -14,7 +14,7 @@ Four function families:
   `resolve_scenario`, the link walk table building shares, finds.
 
 The module also keeps the degradation ledger: a value-typed register of
-open vulnerabilities anchored to one model fingerprint, with severity
+open vulnerabilities, each on one of a model's components, with severity
 weighting for exposure reporting and line-delimited JSON persistence.
 
 All functions are pure except ``ledger_load`` and ``ledger_save``, which
@@ -48,7 +48,6 @@ from .model import (
     Vocabulary,
     AiCharacteristic,
     in_declaration_order,
-    model_fingerprint,
     _require_valid,
     _token_table,
 )
@@ -454,20 +453,18 @@ class VulnerabilityRecord:
         return self.closed_at is None or self.closed_at > as_of
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Ledger:
-    """Vulnerability records anchored to one model snapshot."""
+    """Vulnerability records, each naming one of ``components``: the ids of a model's components."""
 
-    model_fingerprint: str
     components: frozenset[str]
     records: tuple[VulnerabilityRecord, ...] = ()
 
     @classmethod
     def for_model(cls, model: ControlStructureModel) -> "Ledger":
-        return cls(
-            model_fingerprint=model_fingerprint(model),
-            components=frozenset(model.components),
-        )
+        """An empty ledger over ``model``'s components; raises InvalidModel for an invalid model."""
+        _require_valid(model)
+        return cls(components=frozenset(model.components))
 
     def __iter__(self) -> Iterator[VulnerabilityRecord]:
         return iter(self.records)
@@ -554,8 +551,8 @@ def ledger_exposure(ledger: Ledger, as_of: datetime) -> dict:
 # can need escaping; tokens and ISO timestamps are written as they are.
 _encode_text = json.encoder.encode_basestring  # what JSONEncoder(ensure_ascii=False).encode calls for a str
 _scan_once = json.JSONDecoder().scan_once  # what json.loads runs on a line with no blanks around its value
-_SEVERITIES = {member.token: member for member in RecordSeverity}
-_SOURCES = {member.token: member for member in LedgerSource}
+_SEVERITIES = _token_table(RecordSeverity)
+_SOURCES = _token_table(LedgerSource)
 _TEXT_FIELDS = ("id", "description", "component", "severity", "opened_at", "source")
 _CLOSED_TEXT_FIELDS = ("closed_at", *_TEXT_FIELDS)
 _SURROGATE = re.compile("[\ud800-\udfff]")  # a JSON escape can decode to one, which no UTF-8 file holds

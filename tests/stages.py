@@ -249,7 +249,7 @@ def open_record(i):
 
 
 def ledger_of(n, record=ledger_record):
-    return Ledger("fingerprint", frozenset({"C", "P"}), tuple(map(record, range(n))))
+    return Ledger(components=frozenset({"C", "P"}), records=tuple(map(record, range(n))))
 
 
 def ledger_register_run(n):

@@ -8,6 +8,9 @@ ids because the modeling language has no separate name slot.
 
 from __future__ import annotations
 
+import operator
+import string
+
 from hypothesis import strategies as st
 
 from conftest import MODEL_PATH, SCENARIOS_PATH
@@ -26,7 +29,13 @@ from stpa_loc.model import (
     UcaType,
 )
 
-identifiers = st.from_regex(r"[A-Za-z][A-Za-z0-9_-]{0,15}", fullmatch=True)
+# the language of [A-Za-z][A-Za-z0-9_-]{0,15}, drawn as text: st.from_regex
+# drew the same ids about ten times slower
+identifiers = st.builds(
+    operator.add,
+    st.sampled_from(string.ascii_letters),
+    st.text(alphabet=string.ascii_letters + string.digits + "_-", max_size=15),
+)
 
 # newlines cannot appear inside DSL strings; everything else is legal
 _text_chars = st.characters(

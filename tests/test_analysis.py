@@ -60,7 +60,6 @@ from stpa_loc.model import (
     ScenarioType,
     UcaAnnotation,
     UcaType,
-    model_fingerprint,
 )
 
 from stpa_loc.report import TableDirection, build_table
@@ -646,9 +645,16 @@ def record(record_id="V-1", component="P", severity=RecordSeverity.LOW, **overri
 
 def test_ledger_anchors_to_model(host):
     ledger = Ledger.for_model(host)
-    assert ledger.model_fingerprint == model_fingerprint(host)
     assert ledger.components == {"C", "P"}
     assert len(ledger) == 0
+
+
+def test_ledger_for_model_rejects_invalid_model():
+    model = ControlStructureModel.from_items(
+        name="broken", lifecycle=LifecyclePhase.OPERATIONS
+    )
+    with pytest.raises(InvalidModel):
+        Ledger.for_model(model)
 
 
 def test_register_is_functional(host):
@@ -774,7 +780,7 @@ def test_ledger_save_load_round_trip(host, tmp_path):
     ledger_save(ledger, path)
     loaded = ledger_load(path, host)
     assert loaded.records == ledger.records
-    assert loaded.model_fingerprint == ledger.model_fingerprint
+    assert loaded == ledger
     assert len(path.read_text(encoding="utf-8").splitlines()) == 2
 
 
@@ -833,7 +839,7 @@ def test_ledger_load_validates_components(host, tmp_path):
 def write_ledger(path, entries):
     """Save one record per (id, component) pair, bypassing the register checks."""
     records = tuple(record(record_id, component) for record_id, component in entries)
-    ledger_save(Ledger(model_fingerprint="", components=frozenset(), records=records), path)
+    ledger_save(Ledger(components=frozenset(), records=records), path)
 
 
 @pytest.mark.parametrize("line", [2, 3, 5])

@@ -19,11 +19,11 @@ import pytest
 import stpa_loc
 
 
-def run_fresh(code: str) -> str:
-    """Stdout of ``code`` run in a new interpreter that imports this stpa_loc."""
+def run_fresh(code: str, *flags: str) -> str:
+    """Stdout of ``code`` run in a new interpreter, with ``flags``, that imports this stpa_loc."""
     env = dict(os.environ, PYTHONPATH=str(Path(stpa_loc.__file__).parent.parent))
     return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
 
 
@@ -33,6 +33,22 @@ def test_cli_import_loads_only_the_front_end():
         "print(' '.join(sorted(m for m in sys.modules if m.startswith('stpa_loc'))))"
     )
     assert out.split() == ["stpa_loc", "stpa_loc.cli", "stpa_loc.dsl", "stpa_loc.model"]
+
+
+def test_ledger_commands_do_not_load_hashlib(tmp_path):
+    # -S: the host's site hooks must not preload it; not -I, which ignores PYTHONPATH
+    ledger = str(tmp_path / "ledger.jsonl")
+    model = str(Path(stpa_loc.__file__).with_name("data") / "chat_monitoring.stpa")
+    add = ["ledger", "add", ledger, "--model", model, "--id", "V-1", "--description", "drift",
+           "--component", "ChatMonitor", "--severity", "high", "--source", "audit"]
+    out = run_fresh(
+        "import sys; from stpa_loc.cli import main; "
+        f"codes = main({add!r}), main(['ledger', 'exposure', {ledger!r}, '--model', {model!r}]); "
+        "print(*codes, 'hashlib' in sys.modules)",
+        "-S",
+    )
+    assert '"open_count": 1' in out
+    assert out.splitlines()[-1] == "0 0 False"
 
 
 @pytest.mark.parametrize("name", sorted(set(stpa_loc.__all__) - {"__version__"}))
